@@ -20,9 +20,15 @@ const POINTS: usize = 16;
 
 /// The cached sweep: one engine shared across the grid.
 fn sweep_cached(params: &SystemParams, grid: &[f64]) -> Vec<(f64, f64)> {
-    let engine = AnalysisEngine::new();
-    engine
-        .sweep(params, ParamAxis::Alpha, grid, RewardPolicy::FailedOnly)
+    AnalysisEngine::new()
+        .sweep_supervised(
+            params,
+            ParamAxis::Alpha,
+            grid,
+            RewardPolicy::FailedOnly,
+            SolverBackend::Auto,
+            &|_| {},
+        )
         .unwrap()
 }
 

@@ -8,7 +8,7 @@
 //! number is only recorded, since the pool degrades to the serial path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nvp_core::analysis::{linspace, ParamAxis};
+use nvp_core::analysis::{linspace, ParamAxis, SolverBackend};
 use nvp_core::engine::AnalysisEngine;
 use nvp_core::params::SystemParams;
 use nvp_core::reward::RewardPolicy;
@@ -21,11 +21,13 @@ use std::time::Instant;
 fn sweep(jobs: Jobs, grid: &[f64]) -> Vec<(f64, f64)> {
     AnalysisEngine::new()
         .with_jobs(jobs)
-        .sweep_parallel(
+        .sweep_supervised(
             &SystemParams::paper_six_version(),
             ParamAxis::RejuvenationInterval,
             grid,
             RewardPolicy::FailedOnly,
+            SolverBackend::Auto,
+            &|_| {},
         )
         .unwrap()
 }

@@ -14,7 +14,8 @@
 use super::RenderedExperiment;
 use crate::report::{claims_table, ClaimCheck};
 use crate::{Fidelity, Result};
-use nvp_core::analysis::{expected_reliability, sweep, ParamAxis, SolverBackend};
+use nvp_core::analysis::{ParamAxis, SolverBackend};
+use nvp_core::engine::AnalysisEngine;
 use nvp_core::params::{RejuvenationDistribution, ServerSemantics, SystemParams};
 use nvp_core::reward::RewardPolicy;
 use nvp_sim::dspn::{simulate_reward, SimOptions};
@@ -26,23 +27,24 @@ use nvp_sim::scenario::model_reward_fn;
 ///
 /// Analysis and simulation failures.
 pub fn run(fidelity: Fidelity) -> Result<RenderedExperiment> {
+    let engine = AnalysisEngine::new();
     let p6 = SystemParams::paper_six_version();
     let mut claims = Vec::new();
 
     // 1. Reward policy: interior optimum vs monotone curve.
     let grid = [200.0, 450.0, 600.0, 1200.0, 3000.0];
-    let failed_only = sweep(
-        &p6,
-        ParamAxis::RejuvenationInterval,
-        &grid,
-        RewardPolicy::FailedOnly,
-    )?;
-    let as_written = sweep(
-        &p6,
-        ParamAxis::RejuvenationInterval,
-        &grid,
-        RewardPolicy::AsWritten,
-    )?;
+    let sweep = |policy| {
+        engine.sweep_supervised(
+            &p6,
+            ParamAxis::RejuvenationInterval,
+            &grid,
+            policy,
+            SolverBackend::Auto,
+            &|_| {},
+        )
+    };
+    let failed_only = sweep(RewardPolicy::FailedOnly)?;
+    let as_written = sweep(RewardPolicy::AsWritten)?;
     let failed_only_interior =
         failed_only[1].1 > failed_only[0].1 && failed_only[1].1 > failed_only[4].1;
     // Under the literal reading, smaller intervals are monotonically better.
@@ -59,12 +61,13 @@ pub fn run(fidelity: Fidelity) -> Result<RenderedExperiment> {
     // 2. Server semantics at the four-version defaults.
     let mut p4_inf = SystemParams::paper_four_version();
     p4_inf.semantics = ServerSemantics::InfiniteServer;
-    let r4_single = expected_reliability(
+    let r4_single = engine.expected_reliability(
         &SystemParams::paper_four_version(),
         RewardPolicy::FailedOnly,
         SolverBackend::Auto,
     )?;
-    let r4_infinite = expected_reliability(&p4_inf, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
+    let r4_infinite =
+        engine.expected_reliability(&p4_inf, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
     let paper_r4 = super::headline::PAPER_R4;
     claims.push(ClaimCheck {
         claim: "single-server semantics match the paper's E[R_4v]; infinite-server does not".into(),
@@ -93,7 +96,8 @@ pub fn run(fidelity: Fidelity) -> Result<RenderedExperiment> {
             batches: 20,
         },
     )?;
-    let exp_analytic = expected_reliability(&p6, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
+    let exp_analytic =
+        engine.expected_reliability(&p6, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
     claims.push(ClaimCheck {
         claim: "deterministic rejuvenation duration changes E[R_6v] only marginally".into(),
         paper: "n/a (Table II is ambiguous about Trj's distribution)".into(),
@@ -109,8 +113,10 @@ pub fn run(fidelity: Fidelity) -> Result<RenderedExperiment> {
     //    Trj1/Trj2 only).
     let mut p6_shared = p6.clone();
     p6_shared.repair_shares_budget = true;
-    let r_shared = expected_reliability(&p6_shared, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
-    let r_figure = expected_reliability(&p6, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
+    let r_shared =
+        engine.expected_reliability(&p6_shared, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
+    let r_figure =
+        engine.expected_reliability(&p6, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
     claims.push(ClaimCheck {
         claim: "letting repair share the r budget barely moves E[R_6v] \
                 (failures are too short-lived to collide with rejuvenation often)"

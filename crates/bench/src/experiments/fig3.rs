@@ -8,7 +8,7 @@
 use super::RenderedExperiment;
 use crate::report::{claims_table, ClaimCheck, NamedSeries, SweepSeries};
 use crate::{Fidelity, Result};
-use nvp_core::analysis::{linspace, ParamAxis};
+use nvp_core::analysis::{linspace, ParamAxis, SolverBackend};
 use nvp_core::engine::{AnalysisEngine, SolverStats};
 use nvp_core::params::SystemParams;
 use nvp_core::reward::RewardPolicy;
@@ -40,11 +40,13 @@ pub fn compute(fidelity: Fidelity) -> Result<Fig3Result> {
     // One engine for the sweep and the optimum search: any interval the
     // golden-section probes revisit comes out of the chain cache.
     let engine = AnalysisEngine::new();
-    let curve = engine.sweep_parallel(
+    let curve = engine.sweep_supervised(
         &params,
         ParamAxis::RejuvenationInterval,
         &grid,
         RewardPolicy::FailedOnly,
+        SolverBackend::Auto,
+        &|_| {},
     )?;
     let optimum =
         engine.optimal_rejuvenation_interval(&params, 200.0, 3000.0, RewardPolicy::FailedOnly)?;

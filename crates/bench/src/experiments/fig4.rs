@@ -5,7 +5,8 @@
 use super::RenderedExperiment;
 use crate::report::{claims_table, ClaimCheck, NamedSeries, SweepSeries};
 use crate::{Fidelity, Result};
-use nvp_core::analysis::{find_crossover, linspace, sweep_parallel, ParamAxis};
+use nvp_core::analysis::{linspace, ParamAxis, SolverBackend};
+use nvp_core::engine::AnalysisEngine;
 use nvp_core::params::SystemParams;
 use nvp_core::reward::RewardPolicy;
 
@@ -24,11 +25,20 @@ pub struct PanelResult {
 ///
 /// Analysis failures.
 pub fn panel(axis: ParamAxis, grid: &[f64]) -> Result<PanelResult> {
-    let p4 = SystemParams::paper_four_version();
-    let p6 = SystemParams::paper_six_version();
+    let engine = AnalysisEngine::new();
+    let sweep = |params: &SystemParams| {
+        engine.sweep_supervised(
+            params,
+            axis,
+            grid,
+            RewardPolicy::FailedOnly,
+            SolverBackend::Auto,
+            &|_| {},
+        )
+    };
     Ok(PanelResult {
-        four: sweep_parallel(&p4, axis, grid, RewardPolicy::FailedOnly)?,
-        six: sweep_parallel(&p6, axis, grid, RewardPolicy::FailedOnly)?,
+        four: sweep(&SystemParams::paper_four_version())?,
+        six: sweep(&SystemParams::paper_six_version())?,
     })
 }
 
@@ -87,7 +97,8 @@ pub fn run_a(fidelity: Fidelity) -> Result<RenderedExperiment> {
     let result = panel(ParamAxis::MeanTimeToCompromise, &grid)?;
     let p4 = SystemParams::paper_four_version();
     let p6 = SystemParams::paper_six_version();
-    let low = find_crossover(
+    let engine = AnalysisEngine::new();
+    let low = engine.find_crossover(
         &p4,
         &p6,
         ParamAxis::MeanTimeToCompromise,
@@ -95,7 +106,7 @@ pub fn run_a(fidelity: Fidelity) -> Result<RenderedExperiment> {
         1000.0,
         RewardPolicy::FailedOnly,
     )?;
-    let high = find_crossover(
+    let high = engine.find_crossover(
         &p4,
         &p6,
         ParamAxis::MeanTimeToCompromise,
@@ -260,7 +271,7 @@ pub fn run_d(fidelity: Fidelity) -> Result<RenderedExperiment> {
     let result = panel(ParamAxis::CompromisedInaccuracy, &grid)?;
     let p4 = SystemParams::paper_four_version();
     let p6 = SystemParams::paper_six_version();
-    let crossover = find_crossover(
+    let crossover = AnalysisEngine::new().find_crossover(
         &p4,
         &p6,
         ParamAxis::CompromisedInaccuracy,

@@ -4,7 +4,8 @@
 use super::RenderedExperiment;
 use crate::report::{claims_table, ClaimCheck};
 use crate::Result;
-use nvp_core::analysis::{expected_reliability, SolverBackend};
+use nvp_core::analysis::SolverBackend;
+use nvp_core::engine::AnalysisEngine;
 use nvp_core::params::SystemParams;
 use nvp_core::reward::RewardPolicy;
 
@@ -30,12 +31,13 @@ pub struct HeadlineResult {
 ///
 /// Analysis failures.
 pub fn compute() -> Result<HeadlineResult> {
-    let r4 = expected_reliability(
+    let engine = AnalysisEngine::new();
+    let r4 = engine.expected_reliability(
         &SystemParams::paper_four_version(),
         RewardPolicy::FailedOnly,
         SolverBackend::Auto,
     )?;
-    let r6 = expected_reliability(
+    let r6 = engine.expected_reliability(
         &SystemParams::paper_six_version(),
         RewardPolicy::FailedOnly,
         SolverBackend::Auto,

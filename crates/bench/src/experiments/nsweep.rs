@@ -9,8 +9,8 @@
 use super::RenderedExperiment;
 use crate::report::{claims_table, ClaimCheck};
 use crate::{Fidelity, Result};
-use nvp_core::analysis::expected_reliability;
-use nvp_core::analysis::{analyze, ParamAxis, SolverBackend};
+use nvp_core::analysis::{ParamAxis, SolverBackend};
+use nvp_core::engine::AnalysisEngine;
 use nvp_core::params::SystemParams;
 use nvp_core::reliability::ReliabilitySource;
 use nvp_core::reward::RewardPolicy;
@@ -36,6 +36,7 @@ pub struct NPoint {
 ///
 /// Analysis failures.
 pub fn compute(fidelity: Fidelity) -> Result<Vec<NPoint>> {
+    let engine = AnalysisEngine::new();
     let configs: &[(u32, u32, u32)] = match fidelity {
         Fidelity::Full => &[
             (6, 1, 1),
@@ -50,7 +51,7 @@ pub fn compute(fidelity: Fidelity) -> Result<Vec<NPoint>> {
     let mut out = Vec::new();
     for &(n, f, r) in configs {
         let params = SystemParams::builder().n(n).f(f).r(r).build()?;
-        let report = analyze(
+        let report = engine.analyze(
             &params,
             RewardPolicy::FailedOnly,
             ReliabilitySource::Generic,
@@ -67,8 +68,11 @@ pub fn compute(fidelity: Fidelity) -> Result<Vec<NPoint>> {
         let mut interval = 200.0;
         while interval <= 3000.0 {
             let candidate = ParamAxis::RejuvenationInterval.apply(&params, interval);
-            let value =
-                expected_reliability(&candidate, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
+            let value = engine.expected_reliability(
+                &candidate,
+                RewardPolicy::FailedOnly,
+                SolverBackend::Auto,
+            )?;
             if value > opt.0 {
                 opt = (value, interval);
             }

@@ -80,13 +80,14 @@ pub fn run(fidelity: Fidelity) -> Result<RenderedExperiment> {
             request_rate: 0.02,
         },
     )?;
-    let generic_analytic = nvp_core::analysis::analyze(
-        &SystemParams::paper_four_version(),
-        nvp_core::reward::RewardPolicy::FailedOnly,
-        nvp_core::reliability::ReliabilitySource::Generic,
-        nvp_core::analysis::SolverBackend::Auto,
-    )?
-    .expected_reliability;
+    let generic_analytic = nvp_core::engine::AnalysisEngine::new()
+        .analyze(
+            &SystemParams::paper_four_version(),
+            nvp_core::reward::RewardPolicy::FailedOnly,
+            nvp_core::reliability::ReliabilitySource::Generic,
+            nvp_core::analysis::SolverBackend::Auto,
+        )?
+        .expected_reliability;
     let end_to_end = scenario.requests.reliability();
     claims.push(ClaimCheck {
         claim: "end-to-end request stream along the fault trajectory (4-version)".into(),

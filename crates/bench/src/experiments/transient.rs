@@ -12,10 +12,11 @@
 use super::RenderedExperiment;
 use crate::report::{claims_table, ClaimCheck, NamedSeries, SweepSeries};
 use crate::{Fidelity, Result};
-use nvp_core::analysis::{expected_reliability, sensitivity_profile, SolverBackend};
+use nvp_core::analysis::SolverBackend;
 use nvp_core::dependability::{
     interval_reliability, mean_time_to_quorum_loss, transient_reliability,
 };
+use nvp_core::engine::AnalysisEngine;
 use nvp_core::params::SystemParams;
 use nvp_core::reward::{ModulePlaces, RewardPolicy};
 use nvp_sim::firstpassage::{first_passage_time, FirstPassageOptions};
@@ -27,6 +28,7 @@ use std::fmt::Write as _;
 ///
 /// Analysis and simulation failures.
 pub fn run(fidelity: Fidelity) -> Result<RenderedExperiment> {
+    let engine = AnalysisEngine::new();
     let p4 = SystemParams::paper_four_version();
     let p6 = SystemParams::paper_six_version();
     let mut claims = Vec::new();
@@ -36,8 +38,8 @@ pub fn run(fidelity: Fidelity) -> Result<RenderedExperiment> {
         0.0, 300.0, 900.0, 1800.0, 3600.0, 7200.0, 14400.0, 28800.0, 86400.0,
     ]
     .to_vec();
-    let curve = transient_reliability(&p4, RewardPolicy::FailedOnly, &times)?;
-    let steady = expected_reliability(&p4, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
+    let curve = transient_reliability(&engine, &p4, RewardPolicy::FailedOnly, &times)?;
+    let steady = engine.expected_reliability(&p4, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
     let fresh = curve[0].1;
     let at_day = curve.last().map(|&(_, r)| r).unwrap_or(0.0);
     claims.push(ClaimCheck {
@@ -51,7 +53,7 @@ pub fn run(fidelity: Fidelity) -> Result<RenderedExperiment> {
         // undershoot below the steady state.
         holds: (fresh - 0.95).abs() < 1e-9 && at_day < fresh && at_day >= steady - 1e-6,
     });
-    let day_interval = interval_reliability(&p4, RewardPolicy::FailedOnly, 86_400.0)?;
+    let day_interval = interval_reliability(&engine, &p4, RewardPolicy::FailedOnly, 86_400.0)?;
     claims.push(ClaimCheck {
         claim: "interval reliability over one mission day exceeds the steady state".into(),
         paper: "n/a (extension)".into(),
@@ -60,7 +62,7 @@ pub fn run(fidelity: Fidelity) -> Result<RenderedExperiment> {
     });
 
     // --- Mean time to quorum loss. ---
-    let analytic_quorum = mean_time_to_quorum_loss(&p4)?;
+    let analytic_quorum = mean_time_to_quorum_loss(&engine, &p4)?;
     claims.push(ClaimCheck {
         claim: "mean time to quorum loss, four-version (analytic absorption)".into(),
         paper: "n/a (extension)".into(),
@@ -133,8 +135,8 @@ pub fn run(fidelity: Fidelity) -> Result<RenderedExperiment> {
         "\nElasticities (x/R · dR/dx) at the defaults, sorted by magnitude:\n\n\
          | axis | four-version | six-version |\n|---|---|---|\n",
     );
-    let prof4 = sensitivity_profile(&p4, RewardPolicy::FailedOnly)?;
-    let prof6 = sensitivity_profile(&p6, RewardPolicy::FailedOnly)?;
+    let prof4 = engine.sensitivity_profile(&p4, RewardPolicy::FailedOnly)?;
+    let prof6 = engine.sensitivity_profile(&p6, RewardPolicy::FailedOnly)?;
     for (axis, s6) in &prof6 {
         let s4 = prof4
             .iter()

@@ -11,9 +11,8 @@
 use super::RenderedExperiment;
 use crate::report::{claims_table, ClaimCheck};
 use crate::{Fidelity, Result};
-use nvp_core::analysis::{
-    expected_reliability, optimal_rejuvenation_interval, ParamAxis, SolverBackend,
-};
+use nvp_core::analysis::{ParamAxis, SolverBackend};
+use nvp_core::engine::AnalysisEngine;
 use nvp_core::params::SystemParams;
 use nvp_core::reward::RewardPolicy;
 
@@ -36,6 +35,7 @@ pub struct TuningPoint {
 ///
 /// Analysis failures.
 pub fn compute(fidelity: Fidelity) -> Result<Vec<TuningPoint>> {
+    let engine = AnalysisEngine::new();
     let levels: &[f64] = match fidelity {
         Fidelity::Full => &[500.0, 800.0, 1000.0, 1523.0, 2500.0, 5000.0],
         Fidelity::Quick => &[500.0, 1523.0, 5000.0],
@@ -44,10 +44,14 @@ pub fn compute(fidelity: Fidelity) -> Result<Vec<TuningPoint>> {
     let mut out = Vec::new();
     for &mttc in levels {
         let params = ParamAxis::MeanTimeToCompromise.apply(&base, mttc);
-        let (optimal_interval, at_optimum) =
-            optimal_rejuvenation_interval(&params, 100.0, 3000.0, RewardPolicy::FailedOnly)?;
+        let (optimal_interval, at_optimum) = engine.optimal_rejuvenation_interval(
+            &params,
+            100.0,
+            3000.0,
+            RewardPolicy::FailedOnly,
+        )?;
         let at_default =
-            expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
+            engine.expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
         out.push(TuningPoint {
             mean_time_to_compromise: mttc,
             optimal_interval,

@@ -12,7 +12,8 @@
 use super::RenderedExperiment;
 use crate::report::{claims_table, ClaimCheck};
 use crate::{Fidelity, Result};
-use nvp_core::analysis::{analyze, ParamAxis, SolverBackend};
+use nvp_core::analysis::{ParamAxis, SolverBackend};
+use nvp_core::engine::AnalysisEngine;
 use nvp_core::params::SystemParams;
 use nvp_core::reliability::ReliabilitySource;
 use nvp_core::reward::RewardPolicy;
@@ -25,6 +26,7 @@ use nvp_sim::environment::{run_modulated, Environment};
 ///
 /// Analysis and simulation failures.
 pub fn run(fidelity: Fidelity) -> Result<RenderedExperiment> {
+    let engine = AnalysisEngine::new();
     let env = Environment {
         mean_clear: 3600.0 * 4.0, // four clear hours on average
         mean_adverse: 3600.0,     // one adverse hour on average
@@ -53,13 +55,14 @@ pub fn run(fidelity: Fidelity) -> Result<RenderedExperiment> {
             0.05,
         )?;
         let analytic_at = |p: f64| -> Result<f64> {
-            Ok(analyze(
-                &ParamAxis::HealthyInaccuracy.apply(&params, p),
-                RewardPolicy::FailedOnly,
-                ReliabilitySource::Generic,
-                SolverBackend::Auto,
-            )?
-            .expected_reliability)
+            Ok(engine
+                .analyze(
+                    &ParamAxis::HealthyInaccuracy.apply(&params, p),
+                    RewardPolicy::FailedOnly,
+                    ReliabilitySource::Generic,
+                    SolverBackend::Auto,
+                )?
+                .expected_reliability)
         };
         let w = env.adverse_fraction();
         let mixture =

@@ -9,7 +9,8 @@
 use super::RenderedExperiment;
 use crate::report::{claims_table, ClaimCheck};
 use crate::{Fidelity, Result};
-use nvp_core::analysis::{expected_reliability, ParamAxis, SolverBackend};
+use nvp_core::analysis::{ParamAxis, SolverBackend};
+use nvp_core::engine::AnalysisEngine;
 use nvp_core::params::SystemParams;
 use nvp_core::reward::RewardPolicy;
 use nvp_sim::dspn::{simulate_reward, SimOptions};
@@ -36,6 +37,7 @@ pub struct XvalPoint {
 ///
 /// Analysis and simulation failures.
 pub fn compute(fidelity: Fidelity) -> Result<Vec<XvalPoint>> {
+    let engine = AnalysisEngine::new();
     let horizon = match fidelity {
         Fidelity::Full => 4e6,
         Fidelity::Quick => 6e5,
@@ -63,7 +65,7 @@ pub fn compute(fidelity: Fidelity) -> Result<Vec<XvalPoint>> {
     let mut points = Vec::new();
     for (idx, (name, params)) in configs.into_iter().enumerate() {
         let analytic =
-            expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
+            engine.expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
         let net = nvp_core::model::build_model(&params)?;
         let reward = model_reward_fn(&net, &params, RewardPolicy::FailedOnly)?;
         let estimate = simulate_reward(

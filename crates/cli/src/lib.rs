@@ -26,12 +26,11 @@
 
 pub mod journal;
 
-use nvp_core::analysis::{self, ParamAxis, SolverBackend};
+use nvp_core::analysis::SolverBackend;
 use nvp_core::engine::{AnalysisEngine, SweepPointRecord};
-use nvp_core::params::SystemParams;
 use nvp_core::reliability::ReliabilitySource;
-use nvp_core::report::{render_with_on, ReportOptions};
-use nvp_core::reward::RewardPolicy;
+use nvp_core::report::{render, ReportOptions};
+use nvp_core::request::{sweep_csv, AnalyzeRequest, SweepRequest};
 use nvp_numerics::{Jobs, WorkerPool};
 use nvp_obs::progress::SweepProgress;
 use nvp_serve::{RejuvenateMode, ServeConfig, ServeOutcome, Server};
@@ -88,6 +87,7 @@ macro_rules! from_error {
 }
 
 from_error!(
+    String,
     nvp_core::CoreError,
     nvp_petri::PetriError,
     nvp_mrgp::MrgpError,
@@ -282,75 +282,15 @@ impl<'a> Args<'a> {
         })
     }
 
-    fn value_f64(&mut self, flag: &str) -> Result<f64> {
+    fn parsed<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T>
+    where
+        T::Err: std::fmt::Display,
+    {
         let v = self.value(flag)?;
         v.parse().map_err(|e| CliError {
             message: format!("bad value `{v}` for `{flag}`: {e}"),
         })
     }
-
-    fn value_u32(&mut self, flag: &str) -> Result<u32> {
-        let v = self.value(flag)?;
-        v.parse().map_err(|e| CliError {
-            message: format!("bad value `{v}` for `{flag}`: {e}"),
-        })
-    }
-
-    fn value_u64(&mut self, flag: &str) -> Result<u64> {
-        let v = self.value(flag)?;
-        v.parse().map_err(|e| CliError {
-            message: format!("bad value `{v}` for `{flag}`: {e}"),
-        })
-    }
-
-    fn value_usize(&mut self, flag: &str) -> Result<usize> {
-        let v = self.value(flag)?;
-        v.parse().map_err(|e| CliError {
-            message: format!("bad value `{v}` for `{flag}`: {e}"),
-        })
-    }
-}
-
-/// Parses the shared parameter flags; returns the params, the reward
-/// policy, and the flags it did not consume.
-fn parse_params(args: &[String]) -> Result<(SystemParams, RewardPolicy, Vec<String>)> {
-    let mut params = SystemParams::paper_six_version();
-    let mut policy = RewardPolicy::FailedOnly;
-    let mut rest = Vec::new();
-    let mut cursor = Args::new(args);
-    while let Some(flag) = cursor.next() {
-        match flag {
-            "--n" => params.n = cursor.value_u32(flag)?,
-            "--f" => params.f = cursor.value_u32(flag)?,
-            "--r" => params.r = cursor.value_u32(flag)?,
-            "--no-rejuvenation" => params.rejuvenation = false,
-            "--alpha" => params.alpha = cursor.value_f64(flag)?,
-            "--p" => params.p = cursor.value_f64(flag)?,
-            "--p-prime" => params.p_prime = cursor.value_f64(flag)?,
-            "--mttc" => params.mean_time_to_compromise = cursor.value_f64(flag)?,
-            "--mttf" => params.mean_time_to_failure = cursor.value_f64(flag)?,
-            "--mttr" => params.mean_time_to_repair = cursor.value_f64(flag)?,
-            "--interval" => params.rejuvenation_interval = cursor.value_f64(flag)?,
-            "--policy" => {
-                policy = match cursor.value(flag)? {
-                    "failed-only" => RewardPolicy::FailedOnly,
-                    "as-written" => RewardPolicy::AsWritten,
-                    other => {
-                        return Err(CliError {
-                            message: format!("bad policy `{other}` (failed-only | as-written)"),
-                        });
-                    }
-                }
-            }
-            other => rest.push(other.to_string()),
-        }
-    }
-    // A four-version default when rejuvenation is turned off and no size was
-    // given: matches the paper's comparison pair.
-    if !params.rejuvenation && !args.iter().any(|a| a == "--n") {
-        params.n = 4;
-    }
-    Ok((params, policy, rest))
 }
 
 /// Builds the analysis engine used by `analyze` and `sweep`: the Monte
@@ -493,11 +433,9 @@ impl Drop for TraceSession {
 }
 
 fn cmd_analyze(args: &[String], out: &mut dyn Write) -> Result<RunStatus> {
-    let (params, policy, rest) = parse_params(args)?;
+    let (request, rest) = AnalyzeRequest::from_flags(args)?;
     let mut options = ReportOptions::default();
     let mut stats = false;
-    let mut budget_ms = None;
-    let mut max_markings = None;
     let mut jobs = Jobs::Auto;
     let mut cache_dir = None;
     let mut obs = ObsOptions::default();
@@ -510,10 +448,8 @@ fn cmd_analyze(args: &[String], out: &mut dyn Write) -> Result<RunStatus> {
             "--matrix" => options.matrix = true,
             "--no-matrix" => options.matrix = false,
             "--sensitivities" => options.sensitivities = true,
-            "--states" => options.state_rows = cursor.value_usize(flag)?,
+            "--states" => options.state_rows = cursor.parsed(flag)?,
             "--stats" => stats = true,
-            "--budget-ms" => budget_ms = Some(cursor.value_u64(flag)?),
-            "--max-markings" => max_markings = Some(cursor.value_usize(flag)?),
             "--jobs" => jobs = parse_jobs(cursor.value(flag)?)?,
             "--cache-dir" => cache_dir = Some(PathBuf::from(cursor.value(flag)?)),
             other => {
@@ -525,10 +461,10 @@ fn cmd_analyze(args: &[String], out: &mut dyn Write) -> Result<RunStatus> {
     }
     let cache_dir = resolve_cache_dir(cache_dir);
     let session = TraceSession::start(&obs);
-    let engine = resilient_engine(budget_ms, jobs, cache_dir.as_deref())?;
-    let backend = max_markings.map_or(SolverBackend::Auto, SolverBackend::Budget);
-    let report = engine.analyze(&params, policy, ReliabilitySource::Auto, backend)?;
-    let text = render_with_on(&engine, &params, policy, &report, &options)?;
+    let engine = resilient_engine(request.budget_ms, jobs, cache_dir.as_deref())?;
+    let AnalyzeRequest { params, policy, .. } = &request;
+    let report = engine.analyze(params, *policy, ReliabilitySource::Auto, request.backend)?;
+    let text = render(&engine, params, *policy, &report, &options)?;
     write!(out, "{text}")?;
     if stats {
         writeln!(out, "\nsolver statistics:")?;
@@ -608,21 +544,9 @@ fn cmd_cache(args: &[String], out: &mut dyn Write) -> Result<RunStatus> {
     Ok(RunStatus::Success)
 }
 
-fn axis_from_name(name: &str) -> Result<ParamAxis> {
-    ParamAxis::from_name(name).ok_or_else(|| CliError {
-        message: format!("unknown axis `{name}` (gamma | mttc | mttf | mttr | alpha | p | pprime)"),
-    })
-}
-
 fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<RunStatus> {
-    let (params, policy, rest) = parse_params(args)?;
-    let mut axis = None;
-    let mut from = None;
-    let mut to = None;
-    let mut steps = 10usize;
+    let (request, rest) = SweepRequest::from_flags(args)?;
     let mut stats = false;
-    let mut budget_ms = None;
-    let mut max_markings = None;
     let mut jobs = Jobs::Auto;
     let mut out_path: Option<std::path::PathBuf> = None;
     let mut resume = false;
@@ -636,18 +560,12 @@ fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<RunStatus> {
             continue;
         }
         match flag {
-            "--axis" => axis = Some(axis_from_name(cursor.value(flag)?)?),
-            "--from" => from = Some(cursor.value_f64(flag)?),
-            "--to" => to = Some(cursor.value_f64(flag)?),
-            "--steps" => steps = cursor.value_usize(flag)?,
             "--stats" => stats = true,
-            "--budget-ms" => budget_ms = Some(cursor.value_u64(flag)?),
-            "--max-markings" => max_markings = Some(cursor.value_usize(flag)?),
             "--jobs" => jobs = parse_jobs(cursor.value(flag)?)?,
             "--out" => out_path = Some(cursor.value(flag)?.into()),
             "--resume" => resume = true,
-            "--retries" => retries = Some(cursor.value_u32(flag)?),
-            "--point-deadline-ms" => point_deadline_ms = Some(cursor.value_u64(flag)?),
+            "--retries" => retries = Some(cursor.parsed(flag)?),
+            "--point-deadline-ms" => point_deadline_ms = Some(cursor.parsed(flag)?),
             "--cache-dir" => cache_dir = Some(PathBuf::from(cursor.value(flag)?)),
             other => {
                 return Err(CliError {
@@ -656,42 +574,15 @@ fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<RunStatus> {
             }
         }
     }
-    let (Some(axis), Some(from), Some(to)) = (axis, from, to) else {
-        return Err(CliError {
-            message: "sweep requires --axis, --from and --to".into(),
-        });
-    };
-    for (flag, bound) in [("--from", from), ("--to", to)] {
-        if !bound.is_finite() {
-            return Err(CliError {
-                message: format!("sweep bound `{flag}` must be finite, got {bound}"),
-            });
-        }
-    }
-    if from >= to {
-        return Err(CliError {
-            message: format!(
-                "sweep requires an ascending range `--from < --to`; got --from {from} \
-                 >= --to {to}"
-            ),
-        });
-    }
-    if steps < 2 {
-        return Err(CliError {
-            message: format!(
-                "sweep requires --steps >= 2 to cover [{from}, {to}]; got --steps {steps}"
-            ),
-        });
-    }
     if resume && out_path.is_none() {
         return Err(CliError {
             message: "--resume requires --out FILE (the journal lives next to the CSV)".into(),
         });
     }
-    let grid = analysis::linspace(from, to, steps);
+    let grid = request.grid();
     let cache_dir = resolve_cache_dir(cache_dir);
     let session = TraceSession::start(&obs);
-    let mut engine = resilient_engine(budget_ms, jobs, cache_dir.as_deref())?;
+    let mut engine = resilient_engine(request.base.budget_ms, jobs, cache_dir.as_deref())?;
     if let Some(n) = retries {
         engine = engine.with_retries(n);
     }
@@ -704,20 +595,25 @@ fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<RunStatus> {
     let baseline = engine.stats().snapshot();
     let progress = SweepProgress::new(grid.len());
     let retries_counter = engine.metrics().counter("nvp_retries_total");
-    let backend = max_markings.map_or(SolverBackend::Auto, SolverBackend::Budget);
+    let (base, axis) = (&request.base, request.axis);
     let (points, replayed_degraded) = match &out_path {
         Some(path) => {
             // Everything that determines the sweep's output goes into the
             // journal fingerprint; `--resume` against a journal recording a
             // different invocation must fail, not mix results.
+            let max_markings = match base.backend {
+                SolverBackend::Auto => None,
+                SolverBackend::Budget(n) => Some(n),
+            };
             let fp = journal::fingerprint(&format!(
-                "{params:?}|{policy:?}|{axis:?}|{:016x}|{:016x}|{steps}|{max_markings:?}",
-                from.to_bits(),
-                to.to_bits(),
+                "{:?}|{:?}|{axis:?}|{:016x}|{:016x}|{}|{max_markings:?}",
+                base.params,
+                base.policy,
+                request.from.to_bits(),
+                request.to.to_bits(),
+                request.steps,
             ));
-            sweep_journaled(
-                &engine, &params, axis, &grid, policy, backend, path, fp, resume, &progress,
-            )?
+            sweep_journaled(&engine, &request, &grid, path, fp, resume, &progress)?
         }
         None => {
             // Completion callbacks arrive on whichever worker finished the
@@ -733,17 +629,19 @@ fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<RunStatus> {
                 }
                 progress.point_done(record.degraded, retries_counter.get());
             };
-            (
-                engine.sweep_supervised(&params, axis, &grid, policy, backend, &observer)?,
-                false,
-            )
+            let points = engine.sweep_supervised(
+                &base.params,
+                axis,
+                &grid,
+                base.policy,
+                base.backend,
+                &observer,
+            )?;
+            (points, false)
         }
     };
     progress.finish();
-    let mut csv = format!("{},expected_reliability\n", axis.label());
-    for (x, r) in &points {
-        csv.push_str(&format!("{x},{r}\n"));
-    }
+    let csv = sweep_csv(axis, &points);
     match &out_path {
         Some(path) => {
             journal::write_atomic(path, csv.as_bytes()).map_err(|e| CliError {
@@ -783,14 +681,10 @@ fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<RunStatus> {
 /// to the journal the moment it completes. Returns the full grid's results
 /// plus whether any *replayed* point was originally degraded (fresh degraded
 /// solves are already visible in the engine's statistics).
-#[allow(clippy::too_many_arguments)]
 fn sweep_journaled(
     engine: &AnalysisEngine,
-    params: &SystemParams,
-    axis: ParamAxis,
+    request: &SweepRequest,
     grid: &[f64],
-    policy: RewardPolicy,
-    backend: SolverBackend,
     out_path: &std::path::Path,
     fingerprint: u64,
     resume: bool,
@@ -839,7 +733,7 @@ fn sweep_journaled(
             if record.degraded {
                 nvp_obs::sink::warn(&format!(
                     "degraded result at {} = {}",
-                    axis.label(),
+                    request.axis.label(),
                     record.x
                 ));
             }
@@ -852,8 +746,14 @@ fn sweep_journaled(
                     .get_or_insert(e);
             }
         };
-        let solved =
-            engine.sweep_supervised(params, axis, &missing_values, policy, backend, &observer)?;
+        let solved = engine.sweep_supervised(
+            &request.base.params,
+            request.axis,
+            &missing_values,
+            request.base.policy,
+            request.base.backend,
+            &observer,
+        )?;
         if let Some(e) = append_error.into_inner().unwrap_or_else(|p| p.into_inner()) {
             return Err(io_err(e));
         }
@@ -888,31 +788,31 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<RunStatus> {
     while let Some(flag) = cursor.next() {
         match flag {
             "--addr" => addr = cursor.value(flag)?.to_owned(),
-            "--budget-ms" => budget_ms = Some(cursor.value_u64(flag)?),
+            "--budget-ms" => budget_ms = Some(cursor.parsed(flag)?),
             "--jobs" => jobs = parse_jobs(cursor.value(flag)?)?,
             "--cache-dir" => cache_dir = Some(PathBuf::from(cursor.value(flag)?)),
-            "--retries" => retries = Some(cursor.value_u32(flag)?),
-            "--point-deadline-ms" => point_deadline_ms = Some(cursor.value_u64(flag)?),
-            "--max-body-bytes" => config.max_body_bytes = cursor.value_usize(flag)?,
-            "--max-connections" => config.max_connections = cursor.value_usize(flag)?,
-            "--max-cache-entries" => max_cache_entries = Some(cursor.value_usize(flag)?),
-            "--max-cache-bytes" => max_cache_bytes = Some(cursor.value_u64(flag)?),
-            "--job-deadline-ms" => config.job_deadline_ms = Some(cursor.value_u64(flag)?),
+            "--retries" => retries = Some(cursor.parsed(flag)?),
+            "--point-deadline-ms" => point_deadline_ms = Some(cursor.parsed(flag)?),
+            "--max-body-bytes" => config.max_body_bytes = cursor.parsed(flag)?,
+            "--max-connections" => config.max_connections = cursor.parsed(flag)?,
+            "--max-cache-entries" => max_cache_entries = Some(cursor.parsed(flag)?),
+            "--max-cache-bytes" => max_cache_bytes = Some(cursor.parsed(flag)?),
+            "--job-deadline-ms" => config.job_deadline_ms = Some(cursor.parsed(flag)?),
             "--drain-deadline-ms" => {
                 config.rejuvenation.drain_deadline =
-                    std::time::Duration::from_millis(cursor.value_u64(flag)?);
+                    std::time::Duration::from_millis(cursor.parsed(flag)?);
             }
             "--rejuvenate-after-jobs" => {
-                config.rejuvenation.after_jobs = Some(cursor.value_u64(flag)?);
+                config.rejuvenation.after_jobs = Some(cursor.parsed(flag)?);
             }
             "--rejuvenate-after-secs" => {
-                config.rejuvenation.after_secs = Some(cursor.value_u64(flag)?);
+                config.rejuvenation.after_secs = Some(cursor.parsed(flag)?);
             }
             "--rejuvenate-cache-entries" => {
-                config.rejuvenation.cache_entries_pressure = Some(cursor.value_usize(flag)?);
+                config.rejuvenation.cache_entries_pressure = Some(cursor.parsed(flag)?);
             }
             "--rejuvenate-after-panics" => {
-                config.rejuvenation.panic_streak = Some(cursor.value_u32(flag)?);
+                config.rejuvenation.panic_streak = Some(cursor.parsed(flag)?);
             }
             "--rejuvenate-mode" => {
                 config.rejuvenation.mode = RejuvenateMode::parse(cursor.value(flag)?)
@@ -920,7 +820,7 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<RunStatus> {
             }
             "--flight-dir" => config.flight_dir = Some(PathBuf::from(cursor.value(flag)?)),
             "--flight-records" => {
-                config.flight_records = cursor.value_usize(flag)?;
+                config.flight_records = cursor.parsed(flag)?;
             }
             "--access-log" => config.access_log = true,
             other => {
@@ -1003,7 +903,7 @@ fn cmd_solve(args: &[String], out: &mut dyn Write) -> Result<RunStatus> {
     while let Some(flag) = cursor.next() {
         match flag {
             "--reward" => reward_expr = Some(cursor.value(flag)?.to_string()),
-            "--max-markings" => max_markings = cursor.value_usize(flag)?,
+            "--max-markings" => max_markings = cursor.parsed(flag)?,
             other => {
                 return Err(CliError {
                     message: format!("unknown flag `{other}` for solve"),
@@ -1063,8 +963,8 @@ fn cmd_simulate(args: &[String], out: &mut dyn Write) -> Result<RunStatus> {
     while let Some(flag) = cursor.next() {
         match flag {
             "--reward" => reward_expr = Some(cursor.value(flag)?.to_string()),
-            "--horizon" => horizon = cursor.value_f64(flag)?,
-            "--seed" => seed = cursor.value_u64(flag)?,
+            "--horizon" => horizon = cursor.parsed(flag)?,
+            "--seed" => seed = cursor.parsed(flag)?,
             other => {
                 return Err(CliError {
                     message: format!("unknown flag `{other}` for simulate"),
@@ -1489,6 +1389,27 @@ mod tests {
             assert!(
                 err.message.contains(needle),
                 "{from}..{to}: {}",
+                err.message
+            );
+        }
+    }
+
+    #[test]
+    fn sweep_steps_are_capped() {
+        let over_cap = (nvp_core::request::MAX_SWEEP_STEPS + 1).to_string();
+        for steps in [over_cap.as_str(), "100000000000", "18446744073709551615"] {
+            let err = run_to_string(&[
+                "sweep", "--axis", "alpha", "--from", "0", "--to", "1", "--steps", steps,
+            ])
+            .unwrap_err();
+            assert!(
+                err.message.contains("capped"),
+                "steps {steps}: {}",
+                err.message
+            );
+            assert!(
+                err.message.contains("--steps"),
+                "steps {steps}: {}",
                 err.message
             );
         }

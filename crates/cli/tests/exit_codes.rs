@@ -19,13 +19,16 @@ fn success_exits_zero() {
 
 #[test]
 fn hard_failure_exits_one() {
-    // alpha outside [0, 1] is rejected by parameter validation.
-    let output = nvp()
-        .args(["analyze", "--alpha", "2.0"])
-        .output()
-        .expect("spawn nvp");
-    assert_eq!(output.status.code(), Some(1), "{output:?}");
-    assert!(!String::from_utf8_lossy(&output.stderr).is_empty());
+    for args in [
+        // alpha outside [0, 1] is rejected by parameter validation.
+        "analyze --alpha 2.0",
+        // A grid this size once reached the allocator and aborted.
+        "sweep --axis alpha --from 0 --to 1 --steps 100000000000",
+    ] {
+        let output = nvp().args(args.split(' ')).output().expect("spawn nvp");
+        assert_eq!(output.status.code(), Some(1), "{output:?}");
+        assert!(!String::from_utf8_lossy(&output.stderr).is_empty());
+    }
 }
 
 #[cfg(feature = "fault-inject")]

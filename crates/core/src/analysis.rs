@@ -5,19 +5,16 @@
 //! steady-state probabilities (`nvp-mrgp`) → reward-weighted sum with the
 //! reliability functions ([`crate::reliability`]).
 //!
-//! Every function in this module is a thin wrapper over a fresh
-//! [`AnalysisEngine`]: the engine memoizes
+//! This module holds the vocabulary of an analysis: the solver backend,
+//! the report types, the sweep axes and the sweep grid. The pipeline runs
+//! on an [`AnalysisEngine`](crate::engine::AnalysisEngine), which memoizes
 //! the expensive chain stage (model build + exploration + steady-state
 //! solve), so sweeps and searches that revisit the same chain parameters
-//! pay for it once. Hold an engine yourself to share the cache across
-//! calls and to read [`SolverStats`](crate::engine::SolverStats).
+//! pay for it once; its [`SolverStats`](crate::engine::SolverStats)
+//! describe the work done.
 
-use crate::engine::AnalysisEngine;
 use crate::params::SystemParams;
-use crate::reliability::ReliabilitySource;
-use crate::reward::RewardPolicy;
 use crate::state::SystemState;
-use crate::Result;
 
 /// Default budget for tangible markings during exploration.
 const DEFAULT_MAX_MARKINGS: usize = 200_000;
@@ -45,41 +42,6 @@ impl SolverBackend {
             SolverBackend::Budget(n) => n,
         }
     }
-}
-
-/// The expected output reliability `E[R_sys]` of the system (equation 1).
-///
-/// Uses the paper-exact reliability functions when the configuration matches
-/// one the paper evaluates, the generic model otherwise
-/// ([`ReliabilitySource::Auto`]).
-///
-/// # Errors
-///
-/// Parameter-validation, exploration and solver errors.
-///
-/// # Example
-///
-/// ```
-/// use nvp_core::analysis::{expected_reliability, SolverBackend};
-/// use nvp_core::params::SystemParams;
-/// use nvp_core::reward::RewardPolicy;
-///
-/// # fn main() -> Result<(), nvp_core::CoreError> {
-/// let r6 = expected_reliability(
-///     &SystemParams::paper_six_version(),
-///     RewardPolicy::FailedOnly,
-///     SolverBackend::Auto,
-/// )?;
-/// assert!(r6 > 0.9);
-/// # Ok(())
-/// # }
-/// ```
-pub fn expected_reliability(
-    params: &SystemParams,
-    policy: RewardPolicy,
-    backend: SolverBackend,
-) -> Result<f64> {
-    AnalysisEngine::new().expected_reliability(params, policy, backend)
 }
 
 /// Steady-state probability and reward of one system state.
@@ -119,51 +81,6 @@ pub struct AnalysisReport {
     /// Present when the chain stage fell back to a degraded method; the
     /// probabilities (and thus `expected_reliability`) are then estimates.
     pub degraded: Option<DegradedReport>,
-}
-
-/// Runs the full analysis pipeline and reports per-state detail.
-///
-/// # Errors
-///
-/// Parameter-validation, exploration and solver errors.
-pub fn analyze(
-    params: &SystemParams,
-    policy: RewardPolicy,
-    source: ReliabilitySource,
-    backend: SolverBackend,
-) -> Result<AnalysisReport> {
-    AnalysisEngine::new().analyze(params, policy, source, backend)
-}
-
-/// Steady-state *quorum availability*: the long-run fraction of time enough
-/// modules are operational for the voter to produce any output at all
-/// (`healthy + compromised ≥ voting_threshold()`).
-///
-/// This separates "the voter can answer" from "the answer is correct":
-/// `E[R_sys]` weighs each state by its reliability, while quorum
-/// availability only asks whether a verdict is possible. At the paper's
-/// defaults both systems keep quorum almost always (repairs take 3 s), so
-/// the reliability gap of §V-B comes from answer *quality*, not
-/// availability.
-///
-/// # Errors
-///
-/// Parameter-validation, exploration and solver errors.
-///
-/// # Example
-///
-/// ```
-/// use nvp_core::analysis::quorum_availability;
-/// use nvp_core::params::SystemParams;
-///
-/// # fn main() -> Result<(), nvp_core::CoreError> {
-/// let a = quorum_availability(&SystemParams::paper_six_version())?;
-/// assert!(a > 0.99);
-/// # Ok(())
-/// # }
-/// ```
-pub fn quorum_availability(params: &SystemParams) -> Result<f64> {
-    AnalysisEngine::new().quorum_availability(params)
 }
 
 /// A parameter axis for sensitivity sweeps (the x-axes of Figures 3 and 4).
@@ -253,59 +170,6 @@ impl ParamAxis {
     }
 }
 
-/// Evaluates `E[R_sys]` at each value of `axis`, returning `(value, E[R])`
-/// pairs.
-///
-/// # Errors
-///
-/// Propagates analysis errors for any point of the sweep.
-pub fn sweep(
-    params: &SystemParams,
-    axis: ParamAxis,
-    values: &[f64],
-    policy: RewardPolicy,
-) -> Result<Vec<(f64, f64)>> {
-    AnalysisEngine::new().sweep(params, axis, values, policy)
-}
-
-/// Like [`sweep`], but evaluates the points on `std::thread` workers (one
-/// per available core, capped at the number of points) sharing one chain
-/// cache. Results are identical to the sequential version — the analysis
-/// is deterministic — and arrive in input order.
-///
-/// # Errors
-///
-/// Propagates the first analysis error by input order.
-pub fn sweep_parallel(
-    params: &SystemParams,
-    axis: ParamAxis,
-    values: &[f64],
-    policy: RewardPolicy,
-) -> Result<Vec<(f64, f64)>> {
-    AnalysisEngine::new().sweep_parallel(params, axis, values, policy)
-}
-
-/// [`sweep_parallel`] with an explicit solver backend and worker request.
-/// Extra workers come from the process-wide worker pool
-/// ([`nvp_numerics::WorkerPool`]); with none available the sweep runs on
-/// the calling thread alone.
-///
-/// # Errors
-///
-/// Propagates the lowest-index analysis error.
-pub fn sweep_parallel_with(
-    params: &SystemParams,
-    axis: ParamAxis,
-    values: &[f64],
-    policy: RewardPolicy,
-    backend: SolverBackend,
-    jobs: nvp_numerics::Jobs,
-) -> Result<Vec<(f64, f64)>> {
-    AnalysisEngine::new()
-        .with_jobs(jobs)
-        .sweep_parallel_with(params, axis, values, policy, backend)
-}
-
 /// Generates `steps` evenly spaced values covering `[lo, hi]` inclusive.
 /// `steps == 0` yields an empty grid; `steps == 1` yields just `lo`.
 pub fn linspace(lo: f64, hi: f64, steps: usize) -> Vec<f64> {
@@ -319,102 +183,25 @@ pub fn linspace(lo: f64, hi: f64, steps: usize) -> Vec<f64> {
     }
 }
 
-/// The rejuvenation interval in `[lo, hi]` that maximizes `E[R_sys]`
-/// (the question Figure 3 answers), found by golden-section search.
-///
-/// # Errors
-///
-/// Analysis errors at any probed interval, or invalid bounds.
-pub fn optimal_rejuvenation_interval(
-    params: &SystemParams,
-    lo: f64,
-    hi: f64,
-    policy: RewardPolicy,
-) -> Result<(f64, f64)> {
-    AnalysisEngine::new().optimal_rejuvenation_interval(params, lo, hi, policy)
-}
-
-/// [`optimal_rejuvenation_interval`] with an explicit search resolution in
-/// seconds (the bracket width at which the golden-section search stops).
-///
-/// # Errors
-///
-/// Analysis errors at any probed interval, invalid bounds, or a
-/// `resolution` that is not positive and finite.
-pub fn optimal_rejuvenation_interval_with_resolution(
-    params: &SystemParams,
-    lo: f64,
-    hi: f64,
-    policy: RewardPolicy,
-    resolution: f64,
-) -> Result<(f64, f64)> {
-    AnalysisEngine::new()
-        .optimal_rejuvenation_interval_with_resolution(params, lo, hi, policy, resolution)
-}
-
-/// Normalized parametric sensitivity (elasticity) of `E[R_sys]`:
-/// `S(x) = (x / R) · dR/dx`, estimated by central finite differences with a
-/// relative perturbation of 1%.
-///
-/// An elasticity of −0.1 means a 10% parameter increase costs roughly 1% of
-/// reliability. This quantifies the paper's qualitative sensitivity
-/// discussion (§V-B) in a single number per parameter.
-///
-/// # Errors
-///
-/// Analysis errors at any probed point.
-pub fn sensitivity(params: &SystemParams, axis: ParamAxis, policy: RewardPolicy) -> Result<f64> {
-    AnalysisEngine::new().sensitivity(params, axis, policy)
-}
-
-/// Elasticities for a standard set of axes, sorted by descending magnitude.
-///
-/// # Errors
-///
-/// See [`sensitivity`].
-pub fn sensitivity_profile(
-    params: &SystemParams,
-    policy: RewardPolicy,
-) -> Result<Vec<(ParamAxis, f64)>> {
-    AnalysisEngine::new().sensitivity_profile(params, policy)
-}
-
-/// Finds a crossover point: the value of `axis` in `[lo, hi]` where the
-/// expected reliabilities of systems `a` and `b` are equal. Returns `None`
-/// when the difference has the same sign at both endpoints.
-///
-/// Used for the paper's Figure 4 (a) (crossovers of the four- and
-/// six-version curves in `1/λc`) and Figure 4 (d) (crossover in `p'`).
-///
-/// # Errors
-///
-/// Analysis errors at any probed value, or invalid bounds.
-pub fn find_crossover(
-    a: &SystemParams,
-    b: &SystemParams,
-    axis: ParamAxis,
-    lo: f64,
-    hi: f64,
-    policy: RewardPolicy,
-) -> Result<Option<f64>> {
-    AnalysisEngine::new().find_crossover(a, b, axis, lo, hi, policy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::AnalysisEngine;
+    use crate::reliability::ReliabilitySource;
+    use crate::reward::RewardPolicy;
 
     /// The paper's headline four-version value: 0.8233477 (§V-B). The
     /// calibrated reproduction yields 0.8223487 — within 0.13% (the paper's
     /// figure is a near-digit-transposition of ours; see DESIGN.md).
     #[test]
     fn four_version_headline_value() {
-        let r4 = expected_reliability(
-            &SystemParams::paper_four_version(),
-            RewardPolicy::FailedOnly,
-            SolverBackend::Auto,
-        )
-        .unwrap();
+        let r4 = AnalysisEngine::new()
+            .expected_reliability(
+                &SystemParams::paper_four_version(),
+                RewardPolicy::FailedOnly,
+                SolverBackend::Auto,
+            )
+            .unwrap();
         assert!(
             (r4 - 0.8223487).abs() < 1e-6,
             "E[R_4v] = {r4}, expected 0.8223487 (paper: 0.8233477)"
@@ -425,12 +212,13 @@ mod tests {
     /// reproduction yields ≈ 0.938 — within 0.4%.
     #[test]
     fn six_version_headline_value() {
-        let r6 = expected_reliability(
-            &SystemParams::paper_six_version(),
-            RewardPolicy::FailedOnly,
-            SolverBackend::Auto,
-        )
-        .unwrap();
+        let r6 = AnalysisEngine::new()
+            .expected_reliability(
+                &SystemParams::paper_six_version(),
+                RewardPolicy::FailedOnly,
+                SolverBackend::Auto,
+            )
+            .unwrap();
         assert!(
             (r6 - 0.93464665).abs() < 5e-3,
             "E[R_6v] = {r6}, paper reports 0.93464665"
@@ -441,18 +229,20 @@ mod tests {
     /// reliability by about 13%".
     #[test]
     fn rejuvenation_improves_reliability_by_over_13_percent() {
-        let r4 = expected_reliability(
-            &SystemParams::paper_four_version(),
-            RewardPolicy::FailedOnly,
-            SolverBackend::Auto,
-        )
-        .unwrap();
-        let r6 = expected_reliability(
-            &SystemParams::paper_six_version(),
-            RewardPolicy::FailedOnly,
-            SolverBackend::Auto,
-        )
-        .unwrap();
+        let r4 = AnalysisEngine::new()
+            .expected_reliability(
+                &SystemParams::paper_four_version(),
+                RewardPolicy::FailedOnly,
+                SolverBackend::Auto,
+            )
+            .unwrap();
+        let r6 = AnalysisEngine::new()
+            .expected_reliability(
+                &SystemParams::paper_six_version(),
+                RewardPolicy::FailedOnly,
+                SolverBackend::Auto,
+            )
+            .unwrap();
         let improvement = (r6 - r4) / r4;
         assert!(
             improvement > 0.13,
@@ -462,13 +252,14 @@ mod tests {
 
     #[test]
     fn analyze_report_is_consistent() {
-        let report = analyze(
-            &SystemParams::paper_four_version(),
-            RewardPolicy::FailedOnly,
-            ReliabilitySource::Auto,
-            SolverBackend::Auto,
-        )
-        .unwrap();
+        let report = AnalysisEngine::new()
+            .analyze(
+                &SystemParams::paper_four_version(),
+                RewardPolicy::FailedOnly,
+                ReliabilitySource::Auto,
+                SolverBackend::Auto,
+            )
+            .unwrap();
         let total_prob: f64 = report.states.iter().map(|s| s.probability).sum();
         assert!((total_prob - 1.0).abs() < 1e-9);
         let recomputed: f64 = report
@@ -488,10 +279,12 @@ mod tests {
         // The as-written reading keeps reward on rejuvenating markings, so
         // its expectation dominates the failed-only one.
         let p = SystemParams::paper_six_version();
-        let failed_only =
-            expected_reliability(&p, RewardPolicy::FailedOnly, SolverBackend::Auto).unwrap();
-        let as_written =
-            expected_reliability(&p, RewardPolicy::AsWritten, SolverBackend::Auto).unwrap();
+        let failed_only = AnalysisEngine::new()
+            .expected_reliability(&p, RewardPolicy::FailedOnly, SolverBackend::Auto)
+            .unwrap();
+        let as_written = AnalysisEngine::new()
+            .expected_reliability(&p, RewardPolicy::AsWritten, SolverBackend::Auto)
+            .unwrap();
         assert!(
             as_written > failed_only,
             "{as_written} should exceed {failed_only}"
@@ -501,13 +294,18 @@ mod tests {
     #[test]
     fn sweep_returns_one_point_per_value() {
         let values = [300.0, 600.0, 1200.0];
-        let result = sweep(
-            &SystemParams::paper_six_version(),
-            ParamAxis::RejuvenationInterval,
-            &values,
-            RewardPolicy::FailedOnly,
-        )
-        .unwrap();
+        // One worker: other tests in this binary meter the global pool.
+        let result = AnalysisEngine::new()
+            .with_jobs(nvp_numerics::Jobs::Fixed(1))
+            .sweep_supervised(
+                &SystemParams::paper_six_version(),
+                ParamAxis::RejuvenationInterval,
+                &values,
+                RewardPolicy::FailedOnly,
+                SolverBackend::Auto,
+                &|_| {},
+            )
+            .unwrap();
         assert_eq!(result.len(), 3);
         for ((x, r), v) in result.iter().zip(&values) {
             assert_eq!(x, v);
@@ -523,10 +321,10 @@ mod tests {
             SystemParams::paper_four_version(),
             SystemParams::paper_six_version(),
         ] {
-            let availability = quorum_availability(&params).unwrap();
-            let reliability =
-                expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)
-                    .unwrap();
+            let availability = AnalysisEngine::new().quorum_availability(&params).unwrap();
+            let reliability = AnalysisEngine::new()
+                .expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)
+                .unwrap();
             assert!(
                 availability >= reliability,
                 "{availability} < {reliability}"
@@ -542,39 +340,11 @@ mod tests {
     fn quorum_availability_degrades_with_slow_repair() {
         let mut params = SystemParams::paper_four_version();
         params.mean_time_to_repair = 2000.0;
-        let slow = quorum_availability(&params).unwrap();
-        let fast = quorum_availability(&SystemParams::paper_four_version()).unwrap();
+        let slow = AnalysisEngine::new().quorum_availability(&params).unwrap();
+        let fast = AnalysisEngine::new()
+            .quorum_availability(&SystemParams::paper_four_version())
+            .unwrap();
         assert!(slow < fast - 0.05, "slow {slow} vs fast {fast}");
-    }
-
-    #[test]
-    fn parallel_sweep_matches_sequential() {
-        // The Figure 3 gamma grid (quick fidelity): [200, 3000] in 8 steps.
-        let params = SystemParams::paper_six_version();
-        let values = linspace(200.0, 3000.0, 8);
-        let sequential = sweep(
-            &params,
-            ParamAxis::RejuvenationInterval,
-            &values,
-            RewardPolicy::FailedOnly,
-        )
-        .unwrap();
-        let parallel = sweep_parallel(
-            &params,
-            ParamAxis::RejuvenationInterval,
-            &values,
-            RewardPolicy::FailedOnly,
-        )
-        .unwrap();
-        assert_eq!(sequential, parallel);
-        // Error propagation: an invalid point fails the whole sweep.
-        assert!(sweep_parallel(
-            &params,
-            ParamAxis::Alpha,
-            &[0.5, 2.0],
-            RewardPolicy::FailedOnly
-        )
-        .is_err());
     }
 
     #[test]
@@ -638,29 +408,36 @@ mod tests {
             ParamAxis::HealthyInaccuracy,
             ParamAxis::CompromisedInaccuracy,
         ] {
-            let s = sensitivity(&p6, axis, RewardPolicy::FailedOnly).unwrap();
+            let s = AnalysisEngine::new()
+                .sensitivity(&p6, axis, RewardPolicy::FailedOnly)
+                .unwrap();
             assert!(s < 0.0, "{axis:?} elasticity {s} should be negative");
         }
         // A longer mean time to compromise helps (Figure 4 a).
-        let s = sensitivity(
-            &p6,
-            ParamAxis::MeanTimeToCompromise,
-            RewardPolicy::FailedOnly,
-        )
-        .unwrap();
+        let s = AnalysisEngine::new()
+            .sensitivity(
+                &p6,
+                ParamAxis::MeanTimeToCompromise,
+                RewardPolicy::FailedOnly,
+            )
+            .unwrap();
         assert!(s > 0.0, "1/lambda_c elasticity {s} should be positive");
     }
 
     #[test]
     fn sensitivity_profile_is_sorted_and_complete() {
         let p6 = SystemParams::paper_six_version();
-        let profile = sensitivity_profile(&p6, RewardPolicy::FailedOnly).unwrap();
+        let profile = AnalysisEngine::new()
+            .sensitivity_profile(&p6, RewardPolicy::FailedOnly)
+            .unwrap();
         assert_eq!(profile.len(), 7, "all axes incl. rejuvenation interval");
         for w in profile.windows(2) {
             assert!(w[0].1.abs() >= w[1].1.abs());
         }
         let p4 = SystemParams::paper_four_version();
-        let profile4 = sensitivity_profile(&p4, RewardPolicy::FailedOnly).unwrap();
+        let profile4 = AnalysisEngine::new()
+            .sensitivity_profile(&p4, RewardPolicy::FailedOnly)
+            .unwrap();
         assert_eq!(profile4.len(), 6, "no rejuvenation interval axis");
     }
 
@@ -668,13 +445,16 @@ mod tests {
     fn invalid_parameters_surface_as_errors() {
         let mut p = SystemParams::paper_six_version();
         p.alpha = 2.0;
-        assert!(expected_reliability(&p, RewardPolicy::FailedOnly, SolverBackend::Auto).is_err());
+        assert!(AnalysisEngine::new()
+            .expected_reliability(&p, RewardPolicy::FailedOnly, SolverBackend::Auto)
+            .is_err());
     }
 
     #[test]
     fn tiny_budget_is_reported() {
         let p = SystemParams::paper_six_version();
-        let err = expected_reliability(&p, RewardPolicy::FailedOnly, SolverBackend::Budget(3))
+        let err = AnalysisEngine::new()
+            .expected_reliability(&p, RewardPolicy::FailedOnly, SolverBackend::Budget(3))
             .unwrap_err();
         assert!(matches!(
             err,

@@ -19,10 +19,9 @@
 //! (`nvp-sim::firstpassage`); these functions reject such configurations
 //! with [`CoreError::UnsupportedConfiguration`].
 //!
-//! Each analysis has an `*_with` variant taking a shared
-//! [`AnalysisEngine`], so the model build and exploration (served from the
-//! engine's chain cache) are not repeated across calls; the plain functions
-//! run on a throwaway engine.
+//! Each analysis runs on a shared [`AnalysisEngine`], so the model build
+//! and exploration (served from the engine's chain cache) are not repeated
+//! across calls.
 
 use crate::analysis::SolverBackend;
 use crate::engine::AnalysisEngine;
@@ -88,30 +87,20 @@ fn initial_distribution(graph: &TangibleReachGraph) -> Vec<f64> {
 ///
 /// ```
 /// use nvp_core::dependability::transient_reliability;
+/// use nvp_core::engine::AnalysisEngine;
 /// use nvp_core::params::SystemParams;
 /// use nvp_core::reward::RewardPolicy;
 ///
 /// # fn main() -> Result<(), nvp_core::CoreError> {
+/// let engine = AnalysisEngine::new();
 /// let params = SystemParams::paper_four_version();
-/// let curve = transient_reliability(&params, RewardPolicy::FailedOnly, &[0.0, 3600.0])?;
+/// let curve =
+///     transient_reliability(&engine, &params, RewardPolicy::FailedOnly, &[0.0, 3600.0])?;
 /// assert!(curve[0].1 > curve[1].1, "reliability degrades from fresh start");
 /// # Ok(())
 /// # }
 /// ```
 pub fn transient_reliability(
-    params: &SystemParams,
-    policy: RewardPolicy,
-    times: &[f64],
-) -> Result<Vec<(f64, f64)>> {
-    transient_reliability_with(&AnalysisEngine::new(), params, policy, times)
-}
-
-/// [`transient_reliability`] against a shared engine's chain cache.
-///
-/// # Errors
-///
-/// See [`transient_reliability`].
-pub fn transient_reliability_with(
     engine: &AnalysisEngine,
     params: &SystemParams,
     policy: RewardPolicy,
@@ -143,16 +132,7 @@ pub fn transient_reliability_with(
 /// # Errors
 ///
 /// Same conditions as [`transient_reliability`], plus `t` must be positive.
-pub fn interval_reliability(params: &SystemParams, policy: RewardPolicy, t: f64) -> Result<f64> {
-    interval_reliability_with(&AnalysisEngine::new(), params, policy, t)
-}
-
-/// [`interval_reliability`] against a shared engine's chain cache.
-///
-/// # Errors
-///
-/// See [`interval_reliability`].
-pub fn interval_reliability_with(
+pub fn interval_reliability(
     engine: &AnalysisEngine,
     params: &SystemParams,
     policy: RewardPolicy,
@@ -182,19 +162,7 @@ pub fn interval_reliability_with(
 /// Same conditions as [`transient_reliability`]; additionally reports
 /// `f64::INFINITY` cleanly inside the `Ok` value when quorum loss is
 /// unreachable.
-pub fn mean_time_to_quorum_loss(params: &SystemParams) -> Result<f64> {
-    mean_time_to_quorum_loss_with(&AnalysisEngine::new(), params)
-}
-
-/// [`mean_time_to_quorum_loss`] against a shared engine's chain cache.
-///
-/// # Errors
-///
-/// See [`mean_time_to_quorum_loss`].
-pub fn mean_time_to_quorum_loss_with(
-    engine: &AnalysisEngine,
-    params: &SystemParams,
-) -> Result<f64> {
+pub fn mean_time_to_quorum_loss(engine: &AnalysisEngine, params: &SystemParams) -> Result<f64> {
     let chain = engine.chain(params, SolverBackend::Auto)?;
     let ctmc = exponential_ctmc(&chain.graph)?;
     let places = ModulePlaces::locate(&chain.net)?;
@@ -225,12 +193,13 @@ pub fn mean_time_to_quorum_loss_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{expected_reliability, SolverBackend};
+    use crate::analysis::SolverBackend;
 
     #[test]
     fn transient_starts_at_fresh_reward_and_converges() {
         let params = SystemParams::paper_four_version();
         let curve = transient_reliability(
+            &AnalysisEngine::new(),
             &params,
             RewardPolicy::FailedOnly,
             &[0.0, 600.0, 3600.0, 50_000.0, 500_000.0],
@@ -245,8 +214,9 @@ mod tests {
         for w in curve.windows(2) {
             assert!(w[1].1 <= w[0].1 + 1e-4, "{curve:?}");
         }
-        let steady =
-            expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto).unwrap();
+        let steady = AnalysisEngine::new()
+            .expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)
+            .unwrap();
         assert!(
             (curve.last().unwrap().1 - steady).abs() < 1e-4,
             "long-run transient {} vs steady state {steady}",
@@ -258,7 +228,12 @@ mod tests {
     fn transient_rejects_rejuvenating_configuration() {
         let params = SystemParams::paper_six_version();
         assert!(matches!(
-            transient_reliability(&params, RewardPolicy::FailedOnly, &[10.0]),
+            transient_reliability(
+                &AnalysisEngine::new(),
+                &params,
+                RewardPolicy::FailedOnly,
+                &[10.0]
+            ),
             Err(CoreError::UnsupportedConfiguration { .. })
         ));
     }
@@ -266,21 +241,36 @@ mod tests {
     #[test]
     fn transient_rejects_negative_time() {
         let params = SystemParams::paper_four_version();
-        assert!(transient_reliability(&params, RewardPolicy::FailedOnly, &[-1.0]).is_err());
+        assert!(transient_reliability(
+            &AnalysisEngine::new(),
+            &params,
+            RewardPolicy::FailedOnly,
+            &[-1.0]
+        )
+        .is_err());
     }
 
     #[test]
     fn interval_reliability_between_extremes() {
         let params = SystemParams::paper_four_version();
         let t = 100_000.0;
-        let interval = interval_reliability(&params, RewardPolicy::FailedOnly, t).unwrap();
-        let steady =
-            expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto).unwrap();
+        let interval =
+            interval_reliability(&AnalysisEngine::new(), &params, RewardPolicy::FailedOnly, t)
+                .unwrap();
+        let steady = AnalysisEngine::new()
+            .expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)
+            .unwrap();
         // The average over [0, t] must sit between the (better) fresh value
         // and the (worse) steady state.
         assert!(interval > steady, "interval {interval} vs steady {steady}");
         assert!(interval < 0.95, "interval {interval} below fresh 0.95");
-        assert!(interval_reliability(&params, RewardPolicy::FailedOnly, 0.0).is_err());
+        assert!(interval_reliability(
+            &AnalysisEngine::new(),
+            &params,
+            RewardPolicy::FailedOnly,
+            0.0
+        )
+        .is_err());
     }
 
     #[test]
@@ -289,7 +279,7 @@ mod tests {
         // modules simultaneously is rare: the hitting time must dwarf the
         // single-module failure time.
         let params = SystemParams::paper_four_version();
-        let mttf = mean_time_to_quorum_loss(&params).unwrap();
+        let mttf = mean_time_to_quorum_loss(&AnalysisEngine::new(), &params).unwrap();
         assert!(mttf.is_finite());
         assert!(
             mttf > 1e6,
@@ -298,12 +288,12 @@ mod tests {
     }
 
     #[test]
-    fn with_variants_share_the_chain_cache() {
+    fn analyses_share_the_chain_cache() {
         let engine = AnalysisEngine::new();
         let params = SystemParams::paper_four_version();
-        transient_reliability_with(&engine, &params, RewardPolicy::FailedOnly, &[10.0]).unwrap();
-        interval_reliability_with(&engine, &params, RewardPolicy::FailedOnly, 100.0).unwrap();
-        mean_time_to_quorum_loss_with(&engine, &params).unwrap();
+        transient_reliability(&engine, &params, RewardPolicy::FailedOnly, &[10.0]).unwrap();
+        interval_reliability(&engine, &params, RewardPolicy::FailedOnly, 100.0).unwrap();
+        mean_time_to_quorum_loss(&engine, &params).unwrap();
         assert_eq!(engine.cache_misses(), 1, "one exploration for all three");
         assert_eq!(engine.cache_hits(), 2);
     }
@@ -313,8 +303,8 @@ mod tests {
         let fast = SystemParams::paper_four_version();
         let mut slow = fast.clone();
         slow.mean_time_to_repair = 3000.0;
-        let t_fast = mean_time_to_quorum_loss(&fast).unwrap();
-        let t_slow = mean_time_to_quorum_loss(&slow).unwrap();
+        let t_fast = mean_time_to_quorum_loss(&AnalysisEngine::new(), &fast).unwrap();
+        let t_slow = mean_time_to_quorum_loss(&AnalysisEngine::new(), &slow).unwrap();
         assert!(
             t_fast > 10.0 * t_slow,
             "fast repair {t_fast} should far exceed slow repair {t_slow}"

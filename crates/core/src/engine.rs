@@ -17,7 +17,7 @@
 //! solve, a property [`AnalysisEngine`] exploits by memoizing chain
 //! solutions under a [`ChainKey`].
 //!
-//! The engine is [`Sync`]: [`AnalysisEngine::sweep_parallel`] workers share
+//! The engine is [`Sync`]: [`AnalysisEngine::sweep_supervised`] workers share
 //! one cache, and concurrent requests for the same key block on a per-key
 //! slot so the chain is still solved only once.
 //!
@@ -726,7 +726,14 @@ impl Slot {
 /// let params = SystemParams::paper_six_version();
 /// // An alpha sweep only varies reward parameters: one chain solve total.
 /// let grid = [0.0, 0.25, 0.5, 0.75, 1.0];
-/// engine.sweep(&params, ParamAxis::Alpha, &grid, RewardPolicy::FailedOnly)?;
+/// engine.sweep_supervised(
+///     &params,
+///     ParamAxis::Alpha,
+///     &grid,
+///     RewardPolicy::FailedOnly,
+///     SolverBackend::Auto,
+///     &|_| {},
+/// )?;
 /// let stats = engine.stats();
 /// assert_eq!(stats.cache_misses, 1);
 /// assert_eq!(stats.cache_hits, grid.len() as u64 - 1);
@@ -888,7 +895,7 @@ impl AnalysisEngine {
     }
 
     /// Returns this engine with `jobs` controlling both parallelism levels:
-    /// the grid-point workers of [`AnalysisEngine::sweep_parallel`] and the
+    /// the grid-point workers of [`AnalysisEngine::sweep_supervised`] and the
     /// subordinated-chain row workers inside each MRGP solve. Both levels
     /// draw extra-worker permits from the process-wide
     /// [`WorkerPool`], so nesting them degrades toward serial execution
@@ -1235,9 +1242,32 @@ impl AnalysisEngine {
     /// The expected output reliability `E[R_sys]` (equation 1), with the
     /// chain stage served from the cache when possible.
     ///
+    /// Uses the paper-exact reliability functions when the configuration
+    /// matches one the paper evaluates, the generic model otherwise
+    /// ([`ReliabilitySource::Auto`]).
+    ///
     /// # Errors
     ///
     /// See [`AnalysisEngine::chain`].
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use nvp_core::analysis::SolverBackend;
+    /// use nvp_core::engine::AnalysisEngine;
+    /// use nvp_core::params::SystemParams;
+    /// use nvp_core::reward::RewardPolicy;
+    ///
+    /// # fn main() -> Result<(), nvp_core::CoreError> {
+    /// let r6 = AnalysisEngine::new().expected_reliability(
+    ///     &SystemParams::paper_six_version(),
+    ///     RewardPolicy::FailedOnly,
+    ///     SolverBackend::Auto,
+    /// )?;
+    /// assert!(r6 > 0.9);
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn expected_reliability(
         &self,
         params: &SystemParams,
@@ -1346,12 +1376,35 @@ impl AnalysisEngine {
         })
     }
 
-    /// Steady-state quorum availability (see
-    /// [`crate::analysis::quorum_availability`]), chain stage cached.
+    /// Steady-state *quorum availability*: the long-run fraction of time
+    /// enough modules are operational for the voter to produce any output
+    /// at all (`healthy + compromised ≥ voting_threshold()`), chain stage
+    /// cached.
+    ///
+    /// This separates "the voter can answer" from "the answer is correct":
+    /// `E[R_sys]` weighs each state by its reliability, while quorum
+    /// availability only asks whether a verdict is possible. At the paper's
+    /// defaults both systems keep quorum almost always (repairs take 3 s),
+    /// so the reliability gap of §V-B comes from answer *quality*, not
+    /// availability.
     ///
     /// # Errors
     ///
     /// See [`AnalysisEngine::chain`].
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use nvp_core::engine::AnalysisEngine;
+    /// use nvp_core::params::SystemParams;
+    ///
+    /// # fn main() -> Result<(), nvp_core::CoreError> {
+    /// let engine = AnalysisEngine::new();
+    /// let a = engine.quorum_availability(&SystemParams::paper_six_version())?;
+    /// assert!(a > 0.99);
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn quorum_availability(&self, params: &SystemParams) -> Result<f64> {
         let chain = self.chain(params, SolverBackend::Auto)?;
         let _reward_span = nvp_obs::span("reward");
@@ -1370,89 +1423,19 @@ impl AnalysisEngine {
         Ok(availability)
     }
 
-    /// Sequential sweep of `E[R_sys]` over `axis` (see
-    /// [`crate::analysis::sweep`]). Reward-only axes (`Alpha`,
+    /// Evaluates `E[R_sys]` at each value of `axis`, returning `(value,
+    /// E[R])` pairs in input order. Reward-only axes (`Alpha`,
     /// `HealthyInaccuracy`, `CompromisedInaccuracy`) reuse a single chain
     /// solution for the entire grid.
     ///
-    /// # Errors
-    ///
-    /// Propagates analysis errors for any point of the sweep.
-    pub fn sweep(
-        &self,
-        params: &SystemParams,
-        axis: ParamAxis,
-        values: &[f64],
-        policy: RewardPolicy,
-    ) -> Result<Vec<(f64, f64)>> {
-        self.sweep_with(params, axis, values, policy, SolverBackend::Auto)
-    }
-
-    /// [`AnalysisEngine::sweep`] with an explicit solver backend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates analysis errors for any point of the sweep.
-    pub fn sweep_with(
-        &self,
-        params: &SystemParams,
-        axis: ParamAxis,
-        values: &[f64],
-        policy: RewardPolicy,
-        backend: SolverBackend,
-    ) -> Result<Vec<(f64, f64)>> {
-        values
-            .iter()
-            .map(|&v| {
-                let p = axis.apply(params, v);
-                Ok((v, self.expected_reliability(&p, policy, backend)?))
-            })
-            .collect()
-    }
-
-    /// Parallel sweep on `std::thread` workers sharing this engine's cache
-    /// (see [`crate::analysis::sweep_parallel`]). Results are identical to
-    /// [`AnalysisEngine::sweep`] and arrive in input order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-index analysis error.
-    pub fn sweep_parallel(
-        &self,
-        params: &SystemParams,
-        axis: ParamAxis,
-        values: &[f64],
-        policy: RewardPolicy,
-    ) -> Result<Vec<(f64, f64)>> {
-        self.sweep_parallel_with(params, axis, values, policy, SolverBackend::Auto)
-    }
-
-    /// [`AnalysisEngine::sweep_parallel`] with an explicit solver backend.
-    ///
-    /// Extra workers are drawn from the process-wide [`WorkerPool`] (the
-    /// calling thread always works, so the sweep degrades to
-    /// [`AnalysisEngine::sweep_with`] when no permits are available). A
-    /// failing grid point raises a cancellation flag: points no worker has
-    /// started yet are skipped (counted in
+    /// The points run on workers drawn from the process-wide
+    /// [`WorkerPool`], up to [`AnalysisEngine::with_jobs`], sharing this
+    /// engine's cache; the calling thread always works, so with no permits
+    /// available the sweep runs on it alone. The values are the same bits
+    /// at any worker count. A failing grid point raises a cancellation
+    /// flag: points no worker has started yet are skipped (counted in
     /// [`SolverStats::sweep_cancellations`]) and the lowest-index recorded
     /// error is returned instead of solving the rest of a doomed grid.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-index analysis error.
-    pub fn sweep_parallel_with(
-        &self,
-        params: &SystemParams,
-        axis: ParamAxis,
-        values: &[f64],
-        policy: RewardPolicy,
-        backend: SolverBackend,
-    ) -> Result<Vec<(f64, f64)>> {
-        self.sweep_supervised(params, axis, values, policy, backend, &|_| {})
-    }
-
-    /// [`AnalysisEngine::sweep_parallel_with`] under full supervision, with
-    /// a per-point completion observer.
     ///
     /// Each grid point runs as a *supervised* solve: wrapped in
     /// `catch_unwind` (a worker panic costs that point, never the process),
@@ -1667,8 +1650,8 @@ impl AnalysisEngine {
         )
     }
 
-    /// Golden-section search for the reliability-maximizing rejuvenation
-    /// interval (see [`crate::analysis::optimal_rejuvenation_interval`]).
+    /// The rejuvenation interval in `[lo, hi]` that maximizes `E[R_sys]`
+    /// (the question Figure 3 answers), found by golden-section search.
     /// Probes revisited by the search are served from the cache.
     ///
     /// # Errors
@@ -1735,9 +1718,14 @@ impl AnalysisEngine {
         Ok((max.x, max.value))
     }
 
-    /// Normalized parametric sensitivity (elasticity) of `E[R_sys]` (see
-    /// [`crate::analysis::sensitivity`]). For reward-only axes all three
+    /// Normalized parametric sensitivity (elasticity) of `E[R_sys]`:
+    /// `S(x) = (x / R) · dR/dx`, estimated by central finite differences
+    /// with a relative perturbation of 1%. For reward-only axes all three
     /// probe points share one cached chain.
+    ///
+    /// An elasticity of −0.1 means a 10% parameter increase costs roughly
+    /// 1% of reliability. This quantifies the paper's qualitative
+    /// sensitivity discussion (§V-B) in a single number per parameter.
     ///
     /// # Errors
     ///
@@ -1762,7 +1750,7 @@ impl AnalysisEngine {
     }
 
     /// Elasticities for a standard set of axes, sorted by descending
-    /// magnitude (see [`crate::analysis::sensitivity_profile`]).
+    /// magnitude.
     ///
     /// # Errors
     ///
@@ -1791,9 +1779,13 @@ impl AnalysisEngine {
         Ok(profile)
     }
 
-    /// Finds a crossover of the expected reliabilities of systems `a` and
-    /// `b` along `axis` (see [`crate::analysis::find_crossover`]). Both
+    /// Finds a crossover point: the value of `axis` in `[lo, hi]` where the
+    /// expected reliabilities of systems `a` and `b` are equal. Returns
+    /// `None` when the difference has the same sign at both endpoints. Both
     /// systems' chains are cached across the root search's probes.
+    ///
+    /// Used for the paper's Figure 4 (a) (crossovers of the four- and
+    /// six-version curves in `1/λc`) and Figure 4 (d) (crossover in `p'`).
     ///
     /// # Errors
     ///
@@ -2229,7 +2221,24 @@ mod tests {
     use super::*;
     use crate::analysis;
 
-    // The whole point of the engine: sweep_parallel workers share it.
+    /// A sweep with the default backend and no observer.
+    fn sweep(
+        engine: &AnalysisEngine,
+        params: &SystemParams,
+        axis: ParamAxis,
+        grid: &[f64],
+    ) -> Result<Vec<(f64, f64)>> {
+        engine.sweep_supervised(
+            params,
+            axis,
+            grid,
+            RewardPolicy::FailedOnly,
+            SolverBackend::Auto,
+            &|_| {},
+        )
+    }
+
+    // The whole point of the engine: sweep workers share it.
     const _ASSERT_SYNC: fn() = || {
         fn is_sync<T: Sync + Send>() {}
         is_sync::<AnalysisEngine>();
@@ -2238,59 +2247,41 @@ mod tests {
 
     #[test]
     fn reward_only_sweep_solves_the_chain_exactly_once() {
-        let engine = AnalysisEngine::new();
+        let engine = AnalysisEngine::new().with_jobs(Jobs::Fixed(1));
         let params = SystemParams::paper_six_version();
         let grid = analysis::linspace(0.0, 1.0, 9);
-        engine
-            .sweep(&params, ParamAxis::Alpha, &grid, RewardPolicy::FailedOnly)
-            .unwrap();
+        sweep(&engine, &params, ParamAxis::Alpha, &grid).unwrap();
         assert_eq!(engine.cache_misses(), 1, "one chain solve for 9 points");
         assert_eq!(engine.cache_hits(), 8);
         assert_eq!(engine.cache_len(), 1);
         // The other two reward axes reuse the same solution too.
-        engine
-            .sweep(
-                &params,
-                ParamAxis::HealthyInaccuracy,
-                &analysis::linspace(0.0, 0.3, 5),
-                RewardPolicy::FailedOnly,
-            )
-            .unwrap();
-        engine
-            .sweep(
-                &params,
-                ParamAxis::CompromisedInaccuracy,
-                &analysis::linspace(0.3, 0.9, 5),
-                RewardPolicy::FailedOnly,
-            )
-            .unwrap();
+        sweep(
+            &engine,
+            &params,
+            ParamAxis::HealthyInaccuracy,
+            &analysis::linspace(0.0, 0.3, 5),
+        )
+        .unwrap();
+        sweep(
+            &engine,
+            &params,
+            ParamAxis::CompromisedInaccuracy,
+            &analysis::linspace(0.3, 0.9, 5),
+        )
+        .unwrap();
         assert_eq!(engine.cache_misses(), 1, "still a single chain solve");
         assert_eq!(engine.cache_len(), 1);
     }
 
     #[test]
     fn chain_axes_miss_per_distinct_value() {
-        let engine = AnalysisEngine::new();
+        let engine = AnalysisEngine::new().with_jobs(Jobs::Fixed(1));
         let params = SystemParams::paper_six_version();
         let grid = [300.0, 600.0, 900.0];
-        engine
-            .sweep(
-                &params,
-                ParamAxis::RejuvenationInterval,
-                &grid,
-                RewardPolicy::FailedOnly,
-            )
-            .unwrap();
+        sweep(&engine, &params, ParamAxis::RejuvenationInterval, &grid).unwrap();
         assert_eq!(engine.cache_misses(), 3, "interval reshapes the chain");
         // Re-running the same grid is all hits.
-        engine
-            .sweep(
-                &params,
-                ParamAxis::RejuvenationInterval,
-                &grid,
-                RewardPolicy::FailedOnly,
-            )
-            .unwrap();
+        sweep(&engine, &params, ParamAxis::RejuvenationInterval, &grid).unwrap();
         assert_eq!(engine.cache_misses(), 3);
         assert_eq!(engine.cache_hits(), 3);
     }
@@ -2301,12 +2292,9 @@ mod tests {
             SystemParams::paper_four_version(),
             SystemParams::paper_six_version(),
         ] {
-            let uncached = analysis::expected_reliability(
-                &params,
-                RewardPolicy::FailedOnly,
-                SolverBackend::Auto,
-            )
-            .unwrap();
+            let uncached = AnalysisEngine::new()
+                .expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)
+                .unwrap();
             let engine = AnalysisEngine::new();
             let first = engine
                 .expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)
@@ -2344,15 +2332,13 @@ mod tests {
 
     #[test]
     fn parallel_sweep_shares_one_chain_for_reward_axes() {
-        let engine = AnalysisEngine::new();
+        let _lock = pool_test_lock();
         let params = SystemParams::paper_six_version();
         let grid = analysis::linspace(0.05, 0.95, 8);
-        let sequential = engine
-            .sweep(&params, ParamAxis::Alpha, &grid, RewardPolicy::FailedOnly)
-            .unwrap();
-        let parallel = engine
-            .sweep_parallel(&params, ParamAxis::Alpha, &grid, RewardPolicy::FailedOnly)
-            .unwrap();
+        let serial = AnalysisEngine::new().with_jobs(Jobs::Fixed(1));
+        let sequential = sweep(&serial, &params, ParamAxis::Alpha, &grid).unwrap();
+        let engine = AnalysisEngine::new().with_jobs(Jobs::Fixed(4));
+        let parallel = sweep(&engine, &params, ParamAxis::Alpha, &grid).unwrap();
         assert_eq!(sequential, parallel);
         assert_eq!(engine.cache_misses(), 1, "parallel workers shared the slot");
     }
@@ -2385,37 +2371,6 @@ mod tests {
         engine.clear();
         assert_eq!(engine.cache_len(), 0);
         assert_eq!(engine.cache_misses(), 1);
-    }
-
-    #[test]
-    fn engine_methods_match_free_functions() {
-        let engine = AnalysisEngine::new();
-        let p6 = SystemParams::paper_six_version();
-        let report_engine = engine
-            .analyze(
-                &p6,
-                RewardPolicy::FailedOnly,
-                ReliabilitySource::Auto,
-                SolverBackend::Auto,
-            )
-            .unwrap();
-        let report_free = analysis::analyze(
-            &p6,
-            RewardPolicy::FailedOnly,
-            ReliabilitySource::Auto,
-            SolverBackend::Auto,
-        )
-        .unwrap();
-        assert_eq!(report_engine, report_free);
-        let qa_engine = engine.quorum_availability(&p6).unwrap();
-        let qa_free = analysis::quorum_availability(&p6).unwrap();
-        assert_eq!(qa_engine.to_bits(), qa_free.to_bits());
-        let s_engine = engine
-            .sensitivity(&p6, ParamAxis::Alpha, RewardPolicy::FailedOnly)
-            .unwrap();
-        let s_free =
-            analysis::sensitivity(&p6, ParamAxis::Alpha, RewardPolicy::FailedOnly).unwrap();
-        assert_eq!(s_engine.to_bits(), s_free.to_bits());
     }
 
     #[test]
@@ -2483,30 +2438,26 @@ mod tests {
         let _lock = pool_test_lock();
         let pool = WorkerPool::global();
         pool.set_capacity(4);
+        // Tests running beside this one may still hold permits granted under
+        // a larger capacity; once they drain, the new cap bounds every grant.
+        while pool.in_use() >= pool.capacity() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         pool.reset_peak();
         // A gamma sweep is a chain axis: every grid point runs a full MRGP
         // solve whose row stage *also* asks the pool for workers — the
         // nesting scenario the permit budget exists for.
         let params = SystemParams::paper_six_version();
         let grid = analysis::linspace(200.0, 3000.0, 6);
-        let serial = AnalysisEngine::new()
-            .with_jobs(Jobs::Fixed(1))
-            .sweep_parallel(
-                &params,
-                ParamAxis::RejuvenationInterval,
-                &grid,
-                RewardPolicy::FailedOnly,
-            )
-            .unwrap();
+        let serial = sweep(
+            &AnalysisEngine::new().with_jobs(Jobs::Fixed(1)),
+            &params,
+            ParamAxis::RejuvenationInterval,
+            &grid,
+        )
+        .unwrap();
         let engine = AnalysisEngine::new().with_jobs(Jobs::Fixed(8));
-        let parallel = engine
-            .sweep_parallel(
-                &params,
-                ParamAxis::RejuvenationInterval,
-                &grid,
-                RewardPolicy::FailedOnly,
-            )
-            .unwrap();
+        let parallel = sweep(&engine, &params, ParamAxis::RejuvenationInterval, &grid).unwrap();
         assert_eq!(serial, parallel, "worker count must not change results");
         assert!(
             pool.peak() < pool.capacity(),
@@ -2531,9 +2482,7 @@ mod tests {
         // each at most, and the cancellation flag skips the remaining
         // points instead of solving a doomed grid.
         let grid = vec![2.0; 12];
-        let err = engine
-            .sweep_parallel(&params, ParamAxis::Alpha, &grid, RewardPolicy::FailedOnly)
-            .unwrap_err();
+        let err = sweep(&engine, &params, ParamAxis::Alpha, &grid).unwrap_err();
         assert!(
             matches!(err, crate::CoreError::InvalidParameter { .. }),
             "{err:?}"
@@ -2552,12 +2501,18 @@ mod tests {
         let engine = AnalysisEngine::new().with_jobs(Jobs::Fixed(1));
         let params = SystemParams::paper_six_version();
         let grid = analysis::linspace(0.05, 0.95, 5);
-        let parallel = engine
-            .sweep_parallel(&params, ParamAxis::Alpha, &grid, RewardPolicy::FailedOnly)
-            .unwrap();
-        let sequential = engine
-            .sweep(&params, ParamAxis::Alpha, &grid, RewardPolicy::FailedOnly)
-            .unwrap();
+        let parallel = sweep(&engine, &params, ParamAxis::Alpha, &grid).unwrap();
+        // The reference: one point after another, no sweep machinery.
+        let sequential: Vec<(f64, f64)> = grid
+            .iter()
+            .map(|&x| {
+                let p = ParamAxis::Alpha.apply(&params, x);
+                let r = engine
+                    .expected_reliability(&p, RewardPolicy::FailedOnly, SolverBackend::Auto)
+                    .unwrap();
+                (x, r)
+            })
+            .collect();
         assert_eq!(parallel, sequential);
         assert_eq!(engine.stats().sweep_cancellations, 0);
     }
@@ -2752,17 +2707,18 @@ mod tests {
         use nvp_numerics::fault::{arm, FaultMode, FaultPlan, Site};
         let params = SystemParams::paper_six_version();
         let grid = [0.0, 0.3, 0.6];
-        let healthy = AnalysisEngine::new()
-            .with_jobs(Jobs::Fixed(1))
-            .sweep_parallel(&params, ParamAxis::Alpha, &grid, RewardPolicy::FailedOnly)
-            .unwrap();
+        let healthy = sweep(
+            &AnalysisEngine::new().with_jobs(Jobs::Fixed(1)),
+            &params,
+            ParamAxis::Alpha,
+            &grid,
+        )
+        .unwrap();
         // The first dense stationary solve panics; only that grid point
         // falls back to the alternate backend, the sweep itself completes.
         let engine = AnalysisEngine::new().with_jobs(Jobs::Fixed(1));
         let guard = arm(FaultPlan::new(Site::DenseStationary, FaultMode::Panic).times(1));
-        let swept = engine
-            .sweep_parallel(&params, ParamAxis::Alpha, &grid, RewardPolicy::FailedOnly)
-            .unwrap();
+        let swept = sweep(&engine, &params, ParamAxis::Alpha, &grid).unwrap();
         drop(guard);
         assert_eq!(swept.len(), grid.len());
         for ((x, y), (hx, hy)) in swept.iter().zip(&healthy) {
@@ -2793,14 +2749,7 @@ mod tests {
             .with_jobs(Jobs::Fixed(1))
             .with_retries(1);
         let guard = arm(FaultPlan::new(Site::SubordinatedTransient, FaultMode::Panic).times(2));
-        let swept = engine
-            .sweep_parallel(
-                &params,
-                ParamAxis::Alpha,
-                &[params.alpha],
-                RewardPolicy::FailedOnly,
-            )
-            .unwrap();
+        let swept = sweep(&engine, &params, ParamAxis::Alpha, &[params.alpha]).unwrap();
         drop(guard);
         assert_eq!(swept.len(), 1);
         assert!(
@@ -2831,14 +2780,7 @@ mod tests {
             Site::SubordinatedTransient,
             FaultMode::Stall,
         ));
-        let err = engine
-            .sweep_parallel(
-                &params,
-                ParamAxis::Alpha,
-                &[params.alpha],
-                RewardPolicy::FailedOnly,
-            )
-            .unwrap_err();
+        let err = sweep(&engine, &params, ParamAxis::Alpha, &[params.alpha]).unwrap_err();
         drop(guard);
         assert!(
             matches!(
@@ -2899,20 +2841,16 @@ mod tests {
 
     #[test]
     fn stats_delta_isolates_activity_since_the_snapshot() {
-        let engine = AnalysisEngine::new();
+        let engine = AnalysisEngine::new().with_jobs(Jobs::Fixed(1));
         let params = SystemParams::paper_six_version();
         let grid = analysis::linspace(0.0, 1.0, 4);
-        engine
-            .sweep(&params, ParamAxis::Alpha, &grid, RewardPolicy::FailedOnly)
-            .unwrap();
+        sweep(&engine, &params, ParamAxis::Alpha, &grid).unwrap();
         let baseline = engine.stats().snapshot();
         assert_eq!(baseline.cache_misses, 1);
         assert_eq!(baseline.cache_hits, 3);
         // Re-running the same grid is pure cache traffic; the delta must
         // show only the new hits, not the replayed history.
-        engine
-            .sweep(&params, ParamAxis::Alpha, &grid, RewardPolicy::FailedOnly)
-            .unwrap();
+        sweep(&engine, &params, ParamAxis::Alpha, &grid).unwrap();
         let delta = engine.stats().delta(&baseline);
         assert_eq!(delta.cache_misses, 0, "no new chain solves");
         assert_eq!(delta.cache_hits, 4);
@@ -3023,18 +2961,13 @@ mod tests {
 
     #[test]
     fn bounded_cache_evicts_lru_and_never_exceeds_the_bound() {
-        let engine = AnalysisEngine::new().with_max_cache_entries(2);
+        let engine = AnalysisEngine::new()
+            .with_jobs(Jobs::Fixed(1))
+            .with_max_cache_entries(2);
         let params = SystemParams::paper_six_version();
         // Four distinct chain keys through a cache bounded at two entries.
         let grid = [600.0, 800.0, 1000.0, 1200.0];
-        engine
-            .sweep(
-                &params,
-                ParamAxis::MeanTimeToFailure,
-                &grid,
-                RewardPolicy::FailedOnly,
-            )
-            .unwrap();
+        sweep(&engine, &params, ParamAxis::MeanTimeToFailure, &grid).unwrap();
         assert!(engine.cache_len() <= 2, "{}", engine.cache_len());
         let stats = engine.stats();
         assert_eq!(stats.cache_misses, 4);

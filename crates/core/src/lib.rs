@@ -19,13 +19,17 @@
 //! * [`reward`] — the mapping from DSPN markings to reliability rewards,
 //!   including the two documented interpretations of how rejuvenating
 //!   modules are counted;
-//! * [`analysis`] — expected output reliability `E[R_sys] = Σ π·R`
-//!   (equation 1), parameter sweeps, optimal-rejuvenation-interval search
-//!   and crossover analysis;
-//! * [`engine`] — the memoizing [`engine::AnalysisEngine`] behind
-//!   [`analysis`]: caches the expensive chain stage (model build,
+//! * [`analysis`] — the vocabulary of an analysis: solver backends, report
+//!   types, sweep axes and grids;
+//! * [`engine`] — the memoizing [`engine::AnalysisEngine`] that runs every
+//!   analysis: expected output reliability `E[R_sys] = Σ π·R` (equation 1),
+//!   parameter sweeps, optimal-rejuvenation-interval search and crossover
+//!   analysis. It caches the expensive chain stage (model build,
 //!   exploration, steady-state solve) across reward-parameter variations
 //!   and exposes solver statistics ([`engine::SolverStats`]);
+//! * [`request`] — the one request model `nvp analyze`, `nvp sweep` and
+//!   `nvp serve` share: the request keys, their flag and JSON forms, and
+//!   the rules every request obeys;
 //! * [`jobs`] — the asynchronous job table long-lived engine hosts
 //!   (`nvp serve`) use to track submitted analyses and sweeps, with a
 //!   per-point progress journal and bounded retention;
@@ -36,13 +40,15 @@
 //! # Example
 //!
 //! ```
-//! use nvp_core::analysis::{expected_reliability, SolverBackend};
+//! use nvp_core::analysis::SolverBackend;
+//! use nvp_core::engine::AnalysisEngine;
 //! use nvp_core::params::SystemParams;
 //! use nvp_core::reward::RewardPolicy;
 //!
 //! # fn main() -> Result<(), nvp_core::CoreError> {
+//! let engine = AnalysisEngine::new();
 //! let four = SystemParams::paper_four_version();
-//! let r4 = expected_reliability(&four, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
+//! let r4 = engine.expected_reliability(&four, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
 //! assert!((r4 - 0.8223).abs() < 1e-3); // paper reports 0.8233477
 //! # Ok(())
 //! # }
@@ -60,6 +66,7 @@ pub mod model;
 pub mod params;
 pub mod reliability;
 pub mod report;
+pub mod request;
 pub mod reward;
 pub mod state;
 pub mod voting;

@@ -5,7 +5,7 @@
 //! the way TimeNET presents its stationary results. Used by the `nvp` CLI
 //! and handy in examples and logs.
 
-use crate::analysis::{AnalysisReport, SolverBackend};
+use crate::analysis::AnalysisReport;
 use crate::engine::AnalysisEngine;
 use crate::params::SystemParams;
 use crate::reliability::matrix::ReliabilityMatrix;
@@ -35,58 +35,16 @@ impl Default for ReportOptions {
     }
 }
 
-/// Runs the analysis for `params` and renders a plain-text report.
+/// Renders `report`, the analysis of `params` under `policy`, as a
+/// plain-text document. The quorum availability and sensitivity profile
+/// run on `engine` and reuse its cached chain solution, so the engine's
+/// [`SolverStats`](crate::engine::SolverStats) afterwards describe exactly
+/// the work this report cost.
 ///
 /// # Errors
 ///
-/// Analysis errors.
+/// Reliability-matrix evaluation and sensitivity errors.
 pub fn render(
-    params: &SystemParams,
-    policy: RewardPolicy,
-    options: &ReportOptions,
-) -> Result<String> {
-    render_on(&AnalysisEngine::new(), params, policy, options)
-}
-
-/// [`render`] against a shared engine: the analysis, quorum availability
-/// and sensitivity profile reuse one cached chain solution, and the
-/// engine's [`SolverStats`](crate::engine::SolverStats) afterwards describe
-/// exactly the work this report cost.
-///
-/// # Errors
-///
-/// Analysis errors.
-pub fn render_on(
-    engine: &AnalysisEngine,
-    params: &SystemParams,
-    policy: RewardPolicy,
-    options: &ReportOptions,
-) -> Result<String> {
-    let report = engine.analyze(params, policy, ReliabilitySource::Auto, SolverBackend::Auto)?;
-    render_with_on(engine, params, policy, &report, options)
-}
-
-/// Renders a report from an already-computed analysis.
-///
-/// # Errors
-///
-/// Reliability-matrix evaluation and sensitivity errors.
-pub fn render_with(
-    params: &SystemParams,
-    policy: RewardPolicy,
-    report: &AnalysisReport,
-    options: &ReportOptions,
-) -> Result<String> {
-    render_with_on(&AnalysisEngine::new(), params, policy, report, options)
-}
-
-/// [`render_with`] against a shared engine (the CLI uses this so it can
-/// both render and inspect the report's degradation status).
-///
-/// # Errors
-///
-/// Reliability-matrix evaluation and sensitivity errors.
-pub fn render_with_on(
     engine: &AnalysisEngine,
     params: &SystemParams,
     policy: RewardPolicy,
@@ -188,20 +146,28 @@ pub fn render_with_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::SolverBackend;
+
+    fn analyze_and_render(params: &SystemParams, options: &ReportOptions) -> String {
+        let engine = AnalysisEngine::new();
+        let policy = RewardPolicy::FailedOnly;
+        let report = engine
+            .analyze(params, policy, ReliabilitySource::Auto, SolverBackend::Auto)
+            .unwrap();
+        render(&engine, params, policy, &report, options).unwrap()
+    }
 
     #[test]
     fn report_contains_all_sections() {
         let params = SystemParams::paper_six_version();
-        let text = render(
+        let text = analyze_and_render(
             &params,
-            RewardPolicy::FailedOnly,
             &ReportOptions {
                 state_rows: 5,
                 matrix: true,
                 sensitivities: true,
             },
-        )
-        .unwrap();
+        );
         assert!(text.contains("N = 6"));
         assert!(text.contains("4-out-of-6"));
         assert!(text.contains("E[R_sys] = 0.93817"));
@@ -216,16 +182,14 @@ mod tests {
     #[test]
     fn sections_can_be_disabled() {
         let params = SystemParams::paper_four_version();
-        let text = render(
+        let text = analyze_and_render(
             &params,
-            RewardPolicy::FailedOnly,
             &ReportOptions {
                 state_rows: 0,
                 matrix: false,
                 sensitivities: false,
             },
-        )
-        .unwrap();
+        );
         assert!(text.contains("E[R_sys] = 0.8223487"));
         assert!(!text.contains("top states"));
         assert!(!text.contains("R (N = 4)"));

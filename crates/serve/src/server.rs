@@ -18,10 +18,10 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
-use nvp_core::analysis::linspace;
 use nvp_core::engine::{AnalysisEngine, SweepPointRecord};
 use nvp_core::jobs::{JobId, JobKind, JobOutcome, JobTable};
 use nvp_core::reliability::ReliabilitySource;
+use nvp_core::request::{AnalyzeRequest, SweepRequest};
 use nvp_numerics::pool::{Permits, WorkerPool};
 use nvp_obs::json::Json;
 use nvp_obs::metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
@@ -29,7 +29,7 @@ use nvp_obs::recorder::{self, DumpContext, FlightRecorder};
 use nvp_obs::sink;
 use nvp_obs::trace::{self, SpanHandle};
 
-use crate::api::{self, AnalyzeSpec, SweepSpec};
+use crate::api;
 use crate::http::{self, Request, RequestError, Response};
 use crate::rejuvenate::{AgingSnapshot, RejuvenateMode, RejuvenationPolicy};
 use crate::signal;
@@ -301,8 +301,8 @@ pub struct Server {
 }
 
 enum JobSpec {
-    Analyze(AnalyzeSpec),
-    Sweep(SweepSpec),
+    Analyze(AnalyzeRequest),
+    Sweep(SweepRequest),
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -1108,11 +1108,11 @@ fn submit(
         }
     };
     let (spec, total_points) = match kind {
-        JobKind::Analyze => match api::parse_analyze(&doc) {
+        JobKind::Analyze => match AnalyzeRequest::from_json(&doc) {
             Ok(spec) => (JobSpec::Analyze(spec), 1),
             Err(message) => return Response::json(400, api::error_body(&message)),
         },
-        JobKind::Sweep => match api::parse_sweep(&doc) {
+        JobKind::Sweep => match SweepRequest::from_json(&doc) {
             Ok(spec) => {
                 let steps = spec.steps;
                 (JobSpec::Sweep(spec), steps)
@@ -1268,7 +1268,7 @@ fn execute_job(
             Ok(JobOutcome::Analyze(report))
         }
         JobSpec::Sweep(spec) => {
-            let grid = linspace(spec.from, spec.to, spec.steps);
+            let grid = spec.grid();
             // Per-point completions stream straight into the job's
             // progress journal, from whichever engine worker finished
             // them — the service analog of the CLI's resume journal.

@@ -212,17 +212,13 @@ fn concurrent_sweep_clients_get_byte_identical_csv() {
     assert_eq!(csvs[1], csvs[2]);
     // Byte-identical to the CLI path: same grid, same engine API, same
     // formatting.
-    let reference_points = AnalysisEngine::new()
-        .sweep_with(
-            &SystemParams::paper_six_version(),
-            ParamAxis::Alpha,
-            &nvp_core::analysis::linspace(0.1, 0.9, 4),
-            RewardPolicy::FailedOnly,
-            SolverBackend::Auto,
-        )
-        .unwrap();
+    let engine = AnalysisEngine::new();
     let mut reference = format!("{},expected_reliability\n", ParamAxis::Alpha.label());
-    for (x, r) in &reference_points {
+    for x in nvp_core::analysis::linspace(0.1, 0.9, 4) {
+        let params = ParamAxis::Alpha.apply(&SystemParams::paper_six_version(), x);
+        let r = engine
+            .expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)
+            .unwrap();
         reference.push_str(&format!("{x},{r}\n"));
     }
     assert_eq!(csvs[0], reference);

@@ -237,7 +237,8 @@ fn sample_poisson(mean: f64, rng: &mut SmallRng) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvp_core::analysis::{analyze, ParamAxis, SolverBackend};
+    use nvp_core::analysis::{ParamAxis, SolverBackend};
+    use nvp_core::engine::AnalysisEngine;
     use nvp_core::reliability::ReliabilitySource;
     use nvp_core::reward::RewardPolicy;
 
@@ -299,14 +300,15 @@ mod tests {
         )
         .unwrap();
         let analytic_at = |p: f64| {
-            analyze(
-                &ParamAxis::HealthyInaccuracy.apply(&params, p),
-                RewardPolicy::FailedOnly,
-                ReliabilitySource::Generic,
-                SolverBackend::Auto,
-            )
-            .unwrap()
-            .expected_reliability
+            AnalysisEngine::new()
+                .analyze(
+                    &ParamAxis::HealthyInaccuracy.apply(&params, p),
+                    RewardPolicy::FailedOnly,
+                    ReliabilitySource::Generic,
+                    SolverBackend::Auto,
+                )
+                .unwrap()
+                .expected_reliability
         };
         let w = env.adverse_fraction();
         let mixture = (1.0 - w) * analytic_at(params.p) + w * analytic_at(env.adverse_p(params.p));

@@ -270,14 +270,15 @@ mod tests {
         // so the empirical reliability converges to the generic-model
         // expectation, not to the paper's as-printed matrix (which deviates
         // in a few coefficients; see nvp-core::reliability).
-        let generic_expectation = nvp_core::analysis::analyze(
-            &params,
-            RewardPolicy::FailedOnly,
-            nvp_core::reliability::ReliabilitySource::Generic,
-            nvp_core::analysis::SolverBackend::Auto,
-        )
-        .unwrap()
-        .expected_reliability;
+        let generic_expectation = nvp_core::engine::AnalysisEngine::new()
+            .analyze(
+                &params,
+                RewardPolicy::FailedOnly,
+                nvp_core::reliability::ReliabilitySource::Generic,
+                nvp_core::analysis::SolverBackend::Auto,
+            )
+            .unwrap()
+            .expected_reliability;
         let empirical = outcome.requests.reliability();
         assert!(
             (empirical - generic_expectation).abs() < 0.02,

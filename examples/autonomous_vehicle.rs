@@ -16,7 +16,8 @@
 //! cargo run --release --example autonomous_vehicle
 //! ```
 
-use nvp_perception::core::analysis::{expected_reliability, SolverBackend};
+use nvp_perception::core::analysis::SolverBackend;
+use nvp_perception::core::engine::AnalysisEngine;
 use nvp_perception::core::params::SystemParams;
 use nvp_perception::core::reward::RewardPolicy;
 use nvp_perception::core::state::SystemState;
@@ -25,11 +26,14 @@ use nvp_perception::sim::perception::LabelPipeline;
 use nvp_perception::sim::scenario::{run_scenario, ScenarioOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let engine = AnalysisEngine::new();
     // --- Architecture comparison (the paper's headline question). ---
     let without = SystemParams::paper_four_version();
     let with = SystemParams::paper_six_version();
-    let r_without = expected_reliability(&without, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
-    let r_with = expected_reliability(&with, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
+    let r_without =
+        engine.expected_reliability(&without, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
+    let r_with =
+        engine.expected_reliability(&with, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
     println!("AV perception output reliability (analytic, steady state):");
     println!("  4 classifiers, 3-of-4 voter, no rejuvenation : {r_without:.5}");
     println!("  6 classifiers, 4-of-6 voter, 10-min rejuvenation: {r_with:.5}");

@@ -12,12 +12,14 @@
 //! cargo run --release --example fleet_comparison
 //! ```
 
-use nvp_perception::core::analysis::{analyze, SolverBackend};
+use nvp_perception::core::analysis::SolverBackend;
+use nvp_perception::core::engine::AnalysisEngine;
 use nvp_perception::core::params::SystemParams;
 use nvp_perception::core::reliability::ReliabilitySource;
 use nvp_perception::core::reward::RewardPolicy;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let engine = AnalysisEngine::new();
     println!("Architecture comparison at the paper's default fault environment");
     println!("(generic first-principles reliability model, FailedOnly rewards):");
     println!();
@@ -42,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .r(r)
             .rejuvenation(rejuvenation)
             .build()?;
-        let report = analyze(
+        let report = engine.analyze(
             &params,
             RewardPolicy::FailedOnly,
             ReliabilitySource::Generic,

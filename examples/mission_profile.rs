@@ -19,28 +19,30 @@
 use nvp_perception::core::dependability::{
     interval_reliability, mean_time_to_quorum_loss, transient_reliability,
 };
+use nvp_perception::core::engine::AnalysisEngine;
 use nvp_perception::core::params::SystemParams;
 use nvp_perception::core::reward::{ModulePlaces, RewardPolicy};
 use nvp_perception::sim::firstpassage::{first_passage_time, FirstPassageOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let engine = AnalysisEngine::new();
     let four = SystemParams::paper_four_version();
 
     println!("Four-version system: output reliability over mission time");
     println!("  t [min]   R(t)");
     let minutes = [0.0, 5.0, 15.0, 30.0, 60.0, 120.0, 240.0, 480.0];
     let times: Vec<f64> = minutes.iter().map(|m| m * 60.0).collect();
-    for (t, r) in transient_reliability(&four, RewardPolicy::FailedOnly, &times)? {
+    for (t, r) in transient_reliability(&engine, &four, RewardPolicy::FailedOnly, &times)? {
         println!("  {:7.0}   {r:.5}", t / 60.0);
     }
 
     for hours in [1.0, 8.0, 24.0] {
-        let avg = interval_reliability(&four, RewardPolicy::FailedOnly, hours * 3600.0)?;
+        let avg = interval_reliability(&engine, &four, RewardPolicy::FailedOnly, hours * 3600.0)?;
         println!("  average over a {hours:>4.0}-hour mission: {avg:.5}");
     }
 
     // When does voting become impossible altogether?
-    let analytic = mean_time_to_quorum_loss(&four)?;
+    let analytic = mean_time_to_quorum_loss(&engine, &four)?;
     println!("\nMean time until the 3-of-4 voter loses its quorum:");
     println!(
         "  analytic (absorption): {:.2e} s  (~{:.0} days)",

@@ -8,17 +8,19 @@
 //! cargo run --example quickstart
 //! ```
 
-use nvp_perception::core::analysis::{analyze, expected_reliability, SolverBackend};
+use nvp_perception::core::analysis::SolverBackend;
+use nvp_perception::core::engine::AnalysisEngine;
 use nvp_perception::core::params::SystemParams;
 use nvp_perception::core::reliability::ReliabilitySource;
 use nvp_perception::core::reward::RewardPolicy;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let engine = AnalysisEngine::new();
     let four = SystemParams::paper_four_version();
     let six = SystemParams::paper_six_version();
 
-    let r4 = expected_reliability(&four, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
-    let r6 = expected_reliability(&six, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
+    let r4 = engine.expected_reliability(&four, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
+    let r6 = engine.expected_reliability(&six, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
 
     println!("N-version perception systems at the paper's defaults (Table II):");
     println!("  four-version, no rejuvenation : E[R] = {r4:.7}  (paper: 0.8233477)");
@@ -31,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Where does the six-version system spend its time?
     println!("\nMost likely system states of the six-version system:");
     println!("  (healthy, compromised, failed) +rejuvenating  probability  R_state");
-    let report = analyze(
+    let report = engine.analyze(
         &six,
         RewardPolicy::FailedOnly,
         ReliabilitySource::Auto,

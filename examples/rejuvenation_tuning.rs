@@ -13,13 +13,13 @@
 //! cargo run --release --example rejuvenation_tuning
 //! ```
 
-use nvp_perception::core::analysis::{
-    expected_reliability, optimal_rejuvenation_interval, ParamAxis, SolverBackend,
-};
+use nvp_perception::core::analysis::{ParamAxis, SolverBackend};
+use nvp_perception::core::engine::AnalysisEngine;
 use nvp_perception::core::params::SystemParams;
 use nvp_perception::core::reward::RewardPolicy;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let engine = AnalysisEngine::new();
     let base = SystemParams::paper_six_version();
     println!("Optimal rejuvenation interval per threat level (six-version system):");
     println!();
@@ -28,10 +28,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for mttc in [500.0, 1000.0, 1523.0, 2500.0, 5000.0, 10000.0] {
         let params = ParamAxis::MeanTimeToCompromise.apply(&base, mttc);
-        let (best_interval, best_value) =
-            optimal_rejuvenation_interval(&params, 100.0, 3000.0, RewardPolicy::FailedOnly)?;
+        let (best_interval, best_value) = engine.optimal_rejuvenation_interval(
+            &params,
+            100.0,
+            3000.0,
+            RewardPolicy::FailedOnly,
+        )?;
         let at_default =
-            expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
+            engine.expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
         println!("  {mttc:>12.0}   {best_interval:>10.0}   {best_value:.6}     {at_default:.6}");
     }
 

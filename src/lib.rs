@@ -22,15 +22,17 @@
 //! Compute the paper's two headline numbers (§V-B):
 //!
 //! ```
-//! use nvp_perception::core::analysis::{expected_reliability, SolverBackend};
+//! use nvp_perception::core::analysis::SolverBackend;
+//! use nvp_perception::core::engine::AnalysisEngine;
 //! use nvp_perception::core::params::SystemParams;
 //! use nvp_perception::core::reward::RewardPolicy;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let engine = AnalysisEngine::new();
 //! let four = SystemParams::paper_four_version();
 //! let six = SystemParams::paper_six_version();
-//! let r4 = expected_reliability(&four, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
-//! let r6 = expected_reliability(&six, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
+//! let r4 = engine.expected_reliability(&four, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
+//! let r6 = engine.expected_reliability(&six, RewardPolicy::FailedOnly, SolverBackend::Auto)?;
 //! assert!(r6 > r4, "rejuvenation should win at the paper's defaults");
 //! # Ok(())
 //! # }

@@ -8,7 +8,8 @@
 //! Agreement across these is the strongest internal-consistency evidence the
 //! reproduction can produce without the original TimeNET models.
 
-use nvp_perception::core::analysis::{analyze, expected_reliability, ParamAxis, SolverBackend};
+use nvp_perception::core::analysis::{ParamAxis, SolverBackend};
+use nvp_perception::core::engine::AnalysisEngine;
 use nvp_perception::core::params::SystemParams;
 use nvp_perception::core::reliability::ReliabilitySource;
 use nvp_perception::core::reward::RewardPolicy;
@@ -27,8 +28,9 @@ fn sim_options(seed: u64) -> SimOptions {
 #[test]
 fn simulator_confirms_four_version_analytic() {
     let params = SystemParams::paper_four_version();
-    let analytic =
-        expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto).unwrap();
+    let analytic = AnalysisEngine::new()
+        .expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)
+        .unwrap();
     let net = nvp_perception::core::model::build_model(&params).unwrap();
     let reward = model_reward_fn(&net, &params, RewardPolicy::FailedOnly).unwrap();
     let estimate = simulate_reward(&net, &reward, &sim_options(11)).unwrap();
@@ -41,8 +43,9 @@ fn simulator_confirms_four_version_analytic() {
 #[test]
 fn simulator_confirms_six_version_analytic() {
     let params = SystemParams::paper_six_version();
-    let analytic =
-        expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto).unwrap();
+    let analytic = AnalysisEngine::new()
+        .expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)
+        .unwrap();
     let net = nvp_perception::core::model::build_model(&params).unwrap();
     let reward = model_reward_fn(&net, &params, RewardPolicy::FailedOnly).unwrap();
     let estimate = simulate_reward(&net, &reward, &sim_options(12)).unwrap();
@@ -56,8 +59,9 @@ fn simulator_confirms_six_version_analytic() {
 fn simulator_confirms_as_written_policy_too() {
     // The reward-policy ablation must hold in both worlds.
     let params = SystemParams::paper_six_version();
-    let analytic =
-        expected_reliability(&params, RewardPolicy::AsWritten, SolverBackend::Auto).unwrap();
+    let analytic = AnalysisEngine::new()
+        .expected_reliability(&params, RewardPolicy::AsWritten, SolverBackend::Auto)
+        .unwrap();
     let net = nvp_perception::core::model::build_model(&params).unwrap();
     let reward = model_reward_fn(&net, &params, RewardPolicy::AsWritten).unwrap();
     let estimate = simulate_reward(&net, &reward, &sim_options(13)).unwrap();
@@ -182,14 +186,15 @@ fn request_stream_matches_generic_analytic_six_version() {
         },
     )
     .unwrap();
-    let generic_analytic = analyze(
-        &params,
-        RewardPolicy::FailedOnly,
-        ReliabilitySource::Generic,
-        SolverBackend::Auto,
-    )
-    .unwrap()
-    .expected_reliability;
+    let generic_analytic = AnalysisEngine::new()
+        .analyze(
+            &params,
+            RewardPolicy::FailedOnly,
+            ReliabilitySource::Generic,
+            SolverBackend::Auto,
+        )
+        .unwrap()
+        .expected_reliability;
     let empirical = outcome.requests.reliability();
     // The request stream counts requests during rejuvenation as inconclusive
     // (reliable), while the FailedOnly reward zeroes those markings, so the

@@ -6,15 +6,28 @@
 //! crossovers and optima within the neighbouring grid region, ordering
 //! ("who wins") exact.
 
-use nvp_perception::core::analysis::{
-    expected_reliability, find_crossover, optimal_rejuvenation_interval, sweep, ParamAxis,
-    SolverBackend,
-};
+use nvp_perception::core::analysis::{ParamAxis, SolverBackend};
+use nvp_perception::core::engine::AnalysisEngine;
 use nvp_perception::core::params::SystemParams;
 use nvp_perception::core::reward::RewardPolicy;
 
 fn r(params: &SystemParams) -> f64 {
-    expected_reliability(params, RewardPolicy::FailedOnly, SolverBackend::Auto).unwrap()
+    AnalysisEngine::new()
+        .expected_reliability(params, RewardPolicy::FailedOnly, SolverBackend::Auto)
+        .unwrap()
+}
+
+fn sweep(params: &SystemParams, axis: ParamAxis, grid: &[f64]) -> Vec<(f64, f64)> {
+    AnalysisEngine::new()
+        .sweep_supervised(
+            params,
+            axis,
+            grid,
+            RewardPolicy::FailedOnly,
+            SolverBackend::Auto,
+            &|_| {},
+        )
+        .unwrap()
 }
 
 /// §V-B: "The computed expected reliability was 0.8233477 for the
@@ -58,8 +71,9 @@ fn headline_improvement() {
 #[test]
 fn fig3_interior_optimum() {
     let params = SystemParams::paper_six_version();
-    let (opt, opt_val) =
-        optimal_rejuvenation_interval(&params, 200.0, 3000.0, RewardPolicy::FailedOnly).unwrap();
+    let (opt, opt_val) = AnalysisEngine::new()
+        .optimal_rejuvenation_interval(&params, 200.0, 3000.0, RewardPolicy::FailedOnly)
+        .unwrap();
     assert!(
         (350.0..=700.0).contains(&opt),
         "optimum at {opt} s (paper: 400-450 s)"
@@ -68,9 +82,7 @@ fn fig3_interior_optimum() {
         &params,
         ParamAxis::RejuvenationInterval,
         &[200.0, opt, 3000.0],
-        RewardPolicy::FailedOnly,
-    )
-    .unwrap();
+    );
     assert!(opt_val > curve[0].1, "optimum must beat 200 s");
     assert!(
         opt_val > curve[2].1 + 0.05,
@@ -86,27 +98,29 @@ fn fig3_interior_optimum() {
 fn fig4a_crossovers() {
     let p4 = SystemParams::paper_four_version();
     let p6 = SystemParams::paper_six_version();
-    let low = find_crossover(
-        &p4,
-        &p6,
-        ParamAxis::MeanTimeToCompromise,
-        50.0,
-        1000.0,
-        RewardPolicy::FailedOnly,
-    )
-    .unwrap()
-    .expect("low crossover exists");
+    let low = AnalysisEngine::new()
+        .find_crossover(
+            &p4,
+            &p6,
+            ParamAxis::MeanTimeToCompromise,
+            50.0,
+            1000.0,
+            RewardPolicy::FailedOnly,
+        )
+        .unwrap()
+        .expect("low crossover exists");
     assert!((150.0..=700.0).contains(&low), "low crossover at {low}");
-    let high = find_crossover(
-        &p4,
-        &p6,
-        ParamAxis::MeanTimeToCompromise,
-        4000.0,
-        12000.0,
-        RewardPolicy::FailedOnly,
-    )
-    .unwrap()
-    .expect("high crossover exists");
+    let high = AnalysisEngine::new()
+        .find_crossover(
+            &p4,
+            &p6,
+            ParamAxis::MeanTimeToCompromise,
+            4000.0,
+            12000.0,
+            RewardPolicy::FailedOnly,
+        )
+        .unwrap()
+        .expect("high crossover exists");
     assert!(
         (5000.0..=8000.0).contains(&high),
         "high crossover at {high}"
@@ -155,20 +169,8 @@ fn fig4c_p_sensitivity() {
     let p4 = SystemParams::paper_four_version();
     let p6 = SystemParams::paper_six_version();
     let grid = [0.01, 0.05, 0.1, 0.15, 0.2];
-    let s4 = sweep(
-        &p4,
-        ParamAxis::HealthyInaccuracy,
-        &grid,
-        RewardPolicy::FailedOnly,
-    )
-    .unwrap();
-    let s6 = sweep(
-        &p6,
-        ParamAxis::HealthyInaccuracy,
-        &grid,
-        RewardPolicy::FailedOnly,
-    )
-    .unwrap();
+    let s4 = sweep(&p4, ParamAxis::HealthyInaccuracy, &grid);
+    let s6 = sweep(&p6, ParamAxis::HealthyInaccuracy, &grid);
     for ((x, r4), (_, r6)) in s4.iter().zip(&s6) {
         assert!(r6 > r4, "six-version must win at p = {x}");
     }
@@ -184,16 +186,17 @@ fn fig4c_p_sensitivity() {
 fn fig4d_pprime_crossover() {
     let p4 = SystemParams::paper_four_version();
     let p6 = SystemParams::paper_six_version();
-    let crossover = find_crossover(
-        &p4,
-        &p6,
-        ParamAxis::CompromisedInaccuracy,
-        0.1,
-        0.8,
-        RewardPolicy::FailedOnly,
-    )
-    .unwrap()
-    .expect("p' crossover exists");
+    let crossover = AnalysisEngine::new()
+        .find_crossover(
+            &p4,
+            &p6,
+            ParamAxis::CompromisedInaccuracy,
+            0.1,
+            0.8,
+            RewardPolicy::FailedOnly,
+        )
+        .unwrap()
+        .expect("p' crossover exists");
     assert!(
         (0.2..=0.4).contains(&crossover),
         "p' crossover at {crossover} (paper ~0.3)"

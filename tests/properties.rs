@@ -4,7 +4,8 @@
 //! reachability + steady-state solve; the properties target the invariants a
 //! reliability analysis must never violate regardless of parameters.
 
-use nvp_perception::core::analysis::{analyze, expected_reliability, SolverBackend};
+use nvp_perception::core::analysis::SolverBackend;
+use nvp_perception::core::engine::AnalysisEngine;
 use nvp_perception::core::params::SystemParams;
 use nvp_perception::core::reliability::generic;
 use nvp_perception::core::reliability::ReliabilitySource;
@@ -50,7 +51,7 @@ proptest! {
     #[test]
     fn expected_reliability_is_a_probability(params in arb_params()) {
         for policy in [RewardPolicy::FailedOnly, RewardPolicy::AsWritten] {
-            let r = expected_reliability(&params, policy, SolverBackend::Auto).unwrap();
+            let r = AnalysisEngine::new().expected_reliability(&params, policy, SolverBackend::Auto).unwrap();
             prop_assert!((0.0..=1.0).contains(&r), "E[R] = {r} for {params:?}");
         }
     }
@@ -59,7 +60,7 @@ proptest! {
     /// expectation equals the probability-weighted reward sum.
     #[test]
     fn analysis_report_is_internally_consistent(params in arb_params()) {
-        let report = analyze(
+        let report = AnalysisEngine::new().analyze(
             &params,
             RewardPolicy::FailedOnly,
             ReliabilitySource::Auto,
@@ -83,7 +84,7 @@ proptest! {
         params in arb_params(),
         bump in 0.01..=0.1f64,
     ) {
-        let base = analyze(
+        let base = AnalysisEngine::new().analyze(
             &params,
             RewardPolicy::FailedOnly,
             ReliabilitySource::Generic,
@@ -92,7 +93,7 @@ proptest! {
         let mut worse = params.clone();
         worse.p = (worse.p + bump).min(1.0);
         worse.p_prime = (worse.p_prime + bump).min(1.0);
-        let degraded = analyze(
+        let degraded = AnalysisEngine::new().analyze(
             &worse,
             RewardPolicy::FailedOnly,
             ReliabilitySource::Generic,

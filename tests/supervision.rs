@@ -119,12 +119,13 @@ mod panic_storm {
             let engine =
                 AnalysisEngine::new().with_monte_carlo(monte_carlo_hook(SimOptions::default()));
             let guard = arm(FaultPlan::new(site, FaultMode::Panic));
-            let outcome = engine.sweep_parallel_with(
+            let outcome = engine.sweep_supervised(
                 &params,
                 ParamAxis::RejuvenationInterval,
                 &grid,
                 RewardPolicy::FailedOnly,
                 SolverBackend::Auto,
+                &|_| {},
             );
             drop(guard);
             match outcome {
@@ -167,11 +168,13 @@ mod panic_storm {
         let params = SystemParams::paper_six_version();
         let grid = [420.0, 600.0, 780.0];
         let healthy = AnalysisEngine::new()
-            .sweep_parallel(
+            .sweep_supervised(
                 &params,
                 ParamAxis::RejuvenationInterval,
                 &grid,
                 RewardPolicy::FailedOnly,
+                SolverBackend::Auto,
+                &|_| {},
             )
             .unwrap();
         // One panic per grid point (the dense solve of each fresh chain):
@@ -180,11 +183,13 @@ mod panic_storm {
             AnalysisEngine::new().with_monte_carlo(monte_carlo_hook(SimOptions::default()));
         let guard = arm(FaultPlan::new(Site::DenseStationary, FaultMode::Panic).times(grid.len()));
         let swept = engine
-            .sweep_parallel(
+            .sweep_supervised(
                 &params,
                 ParamAxis::RejuvenationInterval,
                 &grid,
                 RewardPolicy::FailedOnly,
+                SolverBackend::Auto,
+                &|_| {},
             )
             .unwrap();
         drop(guard);
