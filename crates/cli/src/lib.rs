@@ -589,10 +589,6 @@ fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<RunStatus> {
     if let Some(ms) = point_deadline_ms {
         engine = engine.with_point_deadline_ms(ms);
     }
-    // Everything below is charged against this baseline, so `--stats` on a
-    // resumed sweep reports only this run's work (replayed points show up as
-    // resume hits, not as recomputed solves).
-    let baseline = engine.stats().snapshot();
     let progress = SweepProgress::new(grid.len());
     let retries_counter = engine.metrics().counter("nvp_retries_total");
     let (base, axis) = (&request.base, request.axis);
@@ -659,7 +655,7 @@ fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<RunStatus> {
     }
     if stats {
         writeln!(out, "\nsolver statistics:")?;
-        writeln!(out, "{}", engine.stats().delta(&baseline))?;
+        writeln!(out, "{}", engine.stats())?;
     }
     if obs.metrics {
         writeln!(out, "\nmetrics:")?;

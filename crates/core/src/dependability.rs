@@ -294,8 +294,12 @@ mod tests {
         transient_reliability(&engine, &params, RewardPolicy::FailedOnly, &[10.0]).unwrap();
         interval_reliability(&engine, &params, RewardPolicy::FailedOnly, 100.0).unwrap();
         mean_time_to_quorum_loss(&engine, &params).unwrap();
-        assert_eq!(engine.cache_misses(), 1, "one exploration for all three");
-        assert_eq!(engine.cache_hits(), 2);
+        assert_eq!(
+            engine.stats().cache_misses,
+            1,
+            "one exploration for all three"
+        );
+        assert_eq!(engine.stats().cache_hits, 2);
     }
 
     #[test]

@@ -31,10 +31,12 @@
 //! surface the degradation instead of silently presenting the estimate as
 //! exact.
 //!
-//! [`SolverStats`] aggregates the observability counters of every layer —
-//! exploration ([`ExploreStats`]), the MRGP solver ([`MrgpStats`]), the
-//! resilience layer (fallbacks, guard trips, budget exhaustions) and the
-//! cache itself — plus per-stage wall times.
+//! The engine's [`MetricsRegistry`] is the only record of what it has done:
+//! every layer — exploration ([`ExploreStats`]), the MRGP solver
+//! ([`MrgpStats`]), the resilience layer and the cache — adds to registry
+//! cells, and [`SolverStats`] is a typed read of those cells. A chain
+//! solution adds its exploration and solver counters once, when it enters
+//! the cache. No telemetry read takes a cache lock.
 
 use crate::analysis::{AnalysisReport, DegradedReport, ParamAxis, SolverBackend, StateReport};
 use crate::params::{RejuvenationDistribution, ServerSemantics, SystemParams};
@@ -374,7 +376,7 @@ fn solver_stats_of(record: &SolveRecord) -> Option<MrgpStats> {
 }
 
 /// A solved chain stage: the model, its reachability graph and steady-state
-/// distribution, plus the per-stage statistics and wall times.
+/// distribution, plus the per-stage statistics.
 ///
 /// Reusable across *any* reward-side parameters — hold the [`Arc`] returned
 /// by [`AnalysisEngine::chain`] and evaluate as many reward vectors against
@@ -395,12 +397,6 @@ pub struct ChainSolution {
     /// Set when a fallback produced `solution`; `None` for a clean primary
     /// solve.
     pub degraded: Option<DegradedInfo>,
-    /// Wall time of the model build.
-    pub build_time: Duration,
-    /// Wall time of the reachability exploration.
-    pub explore_time: Duration,
-    /// Wall time of the steady-state solve.
-    pub solve_time: Duration,
 }
 
 impl ChainSolution {
@@ -416,11 +412,16 @@ impl ChainSolution {
     }
 }
 
-/// Aggregated observability over everything an engine has computed.
+/// Aggregated observability over everything an engine has computed: a
+/// typed read of the cells in [`AnalysisEngine::metrics`], so it always
+/// agrees with the Prometheus exposition.
 ///
-/// Cache counters are lifetime totals; state-space and solver counters are
-/// summed (or maxed, where noted) over the currently cached chain
-/// solutions; stage times are summed wall-clock durations.
+/// Counters are lifetime totals. State-space and solver counters are summed
+/// (or maxed, where noted) over every chain solution that entered the cache,
+/// cold-solved or loaded from the store, including since-evicted ones.
+/// `chain_solutions` and `cache_bytes` describe the cache as it is now.
+/// Stage times are the sums of the stage-latency histograms; a store load
+/// records build and explore times but no solve time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolverStats {
     /// Chain requests answered from the cache.
@@ -434,7 +435,10 @@ pub struct SolverStats {
     pub cache_evictions: u64,
     /// Distinct chain solutions currently cached.
     pub chain_solutions: usize,
-    /// Total tangible markings across cached solutions.
+    /// Approximate in-memory footprint of the cached solutions
+    /// ([`ChainSolution::approx_bytes`] summed).
+    pub cache_bytes: u64,
+    /// Total tangible markings across solutions.
     pub tangible_markings: usize,
     /// Total vanishing-marking visits during exploration.
     pub vanishing_visits: usize,
@@ -449,13 +453,12 @@ pub struct SolverStats {
     /// Deepest uniformization (Poisson-series) truncation actually used.
     pub max_truncation_steps: usize,
     /// Structural equivalence classes actually solved by the MRGP row stage
-    /// across cached solutions (one shared solve per class).
+    /// (one shared solve per class).
     pub dedup_classes: usize,
     /// Subordinated-chain solves skipped because a structurally identical
-    /// chain's class solution was reused, across cached solutions.
+    /// chain's class solution was reused.
     pub dedup_hits: usize,
-    /// Uniformization series cut short by bitwise steady-state detection,
-    /// across cached solutions.
+    /// Uniformization series cut short by bitwise steady-state detection.
     pub steady_state_detections: usize,
     /// Stationary solves answered by the dense LU backend.
     pub dense_solves: usize,
@@ -464,23 +467,21 @@ pub struct SolverStats {
     /// Fallback stages taken (alternate backend, Monte Carlo) over the
     /// engine's lifetime, including solves that still failed afterwards.
     pub fallbacks_taken: u64,
-    /// Currently cached solutions that were answered by a fallback.
+    /// Solutions that were answered by a fallback.
     pub degraded_solutions: usize,
     /// Stage-boundary probability-guard interventions (negative clamps or
-    /// renormalizations) across cached solutions.
+    /// renormalizations).
     pub guard_trips: usize,
     /// Solves aborted because the wall-clock budget was exhausted
     /// (lifetime total; budgeted failures are never cached).
     pub budget_exhaustions: u64,
     /// Largest worker-thread count (including the calling thread) any MRGP
-    /// row stage of a cached solution ran with; 1 means every solve ran
-    /// serially.
+    /// row stage ran with; 1 means every solve ran serially.
     pub workers_used: usize,
-    /// Subordinated-chain rows dispatched to a multi-worker row stage
-    /// across cached solutions.
+    /// Subordinated-chain rows dispatched to a multi-worker row stage.
     pub parallel_rows: usize,
     /// Times the MRGP row stage asked the worker pool for more permits than
-    /// it could grant (across cached solutions).
+    /// it could grant.
     pub permit_starvations: usize,
     /// Sweep grid points skipped because an earlier point's failure
     /// cancelled the sweep (lifetime total).
@@ -605,102 +606,114 @@ impl std::fmt::Display for SolverStats {
     }
 }
 
-impl SolverStats {
-    /// Freezes the current stats as a baseline for a later [`delta`].
-    ///
-    /// [`delta`]: SolverStats::delta
-    #[must_use]
-    pub fn snapshot(&self) -> SolverStats {
-        *self
-    }
-
-    /// Activity since `baseline`, a snapshot taken from the same engine.
-    ///
-    /// Monotone counters and stage times subtract saturating, so a stale or
-    /// mismatched baseline degrades to the raw totals instead of wrapping.
-    /// High-water marks (`max_subordinated_states`, `max_truncation_steps`,
-    /// `workers_used`) and cache-shape gauges (`chain_solutions`,
-    /// `degraded_solutions`) keep their current values: they describe state,
-    /// not flow, so subtraction would be meaningless.
-    #[must_use]
-    pub fn delta(&self, baseline: &SolverStats) -> SolverStats {
-        SolverStats {
-            cache_hits: self.cache_hits.saturating_sub(baseline.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(baseline.cache_misses),
-            cache_evictions: self
-                .cache_evictions
-                .saturating_sub(baseline.cache_evictions),
-            chain_solutions: self.chain_solutions,
-            tangible_markings: self
-                .tangible_markings
-                .saturating_sub(baseline.tangible_markings),
-            vanishing_visits: self
-                .vanishing_visits
-                .saturating_sub(baseline.vanishing_visits),
-            timed_arcs: self.timed_arcs.saturating_sub(baseline.timed_arcs),
-            zero_rate_arcs: self.zero_rate_arcs.saturating_sub(baseline.zero_rate_arcs),
-            subordinated_chains: self
-                .subordinated_chains
-                .saturating_sub(baseline.subordinated_chains),
-            max_subordinated_states: self.max_subordinated_states,
-            max_truncation_steps: self.max_truncation_steps,
-            dedup_classes: self.dedup_classes.saturating_sub(baseline.dedup_classes),
-            dedup_hits: self.dedup_hits.saturating_sub(baseline.dedup_hits),
-            steady_state_detections: self
-                .steady_state_detections
-                .saturating_sub(baseline.steady_state_detections),
-            dense_solves: self.dense_solves.saturating_sub(baseline.dense_solves),
-            iterative_solves: self
-                .iterative_solves
-                .saturating_sub(baseline.iterative_solves),
-            fallbacks_taken: self
-                .fallbacks_taken
-                .saturating_sub(baseline.fallbacks_taken),
-            degraded_solutions: self.degraded_solutions,
-            guard_trips: self.guard_trips.saturating_sub(baseline.guard_trips),
-            budget_exhaustions: self
-                .budget_exhaustions
-                .saturating_sub(baseline.budget_exhaustions),
-            workers_used: self.workers_used,
-            parallel_rows: self.parallel_rows.saturating_sub(baseline.parallel_rows),
-            permit_starvations: self
-                .permit_starvations
-                .saturating_sub(baseline.permit_starvations),
-            sweep_cancellations: self
-                .sweep_cancellations
-                .saturating_sub(baseline.sweep_cancellations),
-            worker_panics: self.worker_panics.saturating_sub(baseline.worker_panics),
-            rejuvenations: self.rejuvenations.saturating_sub(baseline.rejuvenations),
-            retries: self.retries.saturating_sub(baseline.retries),
-            resume_hits: self.resume_hits.saturating_sub(baseline.resume_hits),
-            poisoned_locks_recovered: self
-                .poisoned_locks_recovered
-                .saturating_sub(baseline.poisoned_locks_recovered),
-            store_hits: self.store_hits.saturating_sub(baseline.store_hits),
-            store_misses: self.store_misses.saturating_sub(baseline.store_misses),
-            store_corrupt_quarantined: self
-                .store_corrupt_quarantined
-                .saturating_sub(baseline.store_corrupt_quarantined),
-            store_write_failures: self
-                .store_write_failures
-                .saturating_sub(baseline.store_write_failures),
-            build_time: self.build_time.saturating_sub(baseline.build_time),
-            explore_time: self.explore_time.saturating_sub(baseline.explore_time),
-            solve_time: self.solve_time.saturating_sub(baseline.solve_time),
-            reward_time: self.reward_time.saturating_sub(baseline.reward_time),
-        }
-    }
-}
-
 /// Per-key slot: concurrent requests for the same key contend here (not on
 /// the whole cache), so one thread computes while the rest wait for the
 /// result instead of recomputing it.
+///
+/// Lock order: a slot, then the map. The map lock is never held while
+/// waiting on a slot, so a solve in progress never stalls a cache hit on
+/// another key, nor any telemetry read.
 #[derive(Debug, Default)]
 struct Slot {
     value: Mutex<Option<Arc<ChainSolution>>>,
     /// Logical timestamp of the slot's last hit or insert, drawn from the
     /// engine's `cache_clock`; bounded eviction removes the smallest.
     last_used: AtomicU64,
+    /// [`ChainSolution::approx_bytes`] of the cached value, 0 while the slot
+    /// is empty. Written only under the map lock, together with the
+    /// cache-shape gauges it feeds.
+    bytes: AtomicU64,
+}
+
+type CacheMap = HashMap<ChainKey, Arc<Slot>>;
+
+/// Whether `map` still holds `slot` under `key` (a failed solve, an
+/// eviction or [`AnalysisEngine::clear`] may have dropped it).
+fn holds(map: &CacheMap, key: &ChainKey, slot: &Arc<Slot>) -> bool {
+    map.get(key).is_some_and(|held| Arc::ptr_eq(held, slot))
+}
+
+/// The registry cells a chain solution adds to once, when it enters the
+/// cache (see [`SolutionCells::add`]).
+struct SolutionCells {
+    tangible_markings: Counter,
+    vanishing_visits: Counter,
+    timed_arcs: Counter,
+    zero_rate_arcs: Counter,
+    subordinated_chains: Counter,
+    max_subordinated_states: Gauge,
+    max_truncation_steps: Gauge,
+    dedup_classes: Counter,
+    dedup_hits: Counter,
+    steady_state_detections: Counter,
+    dense_solves: Counter,
+    iterative_solves: Counter,
+    degraded_solutions: Counter,
+    guard_trips: Counter,
+    workers_used: Gauge,
+    parallel_rows: Counter,
+    permit_starvations: Counter,
+}
+
+impl SolutionCells {
+    fn new(metrics: &MetricsRegistry) -> Self {
+        SolutionCells {
+            tangible_markings: metrics.counter("nvp_tangible_markings_total"),
+            vanishing_visits: metrics.counter("nvp_vanishing_visits_total"),
+            timed_arcs: metrics.counter("nvp_timed_arcs_total"),
+            zero_rate_arcs: metrics.counter("nvp_zero_rate_arcs_total"),
+            subordinated_chains: metrics.counter("nvp_subordinated_chains_total"),
+            max_subordinated_states: metrics.gauge("nvp_max_subordinated_states"),
+            max_truncation_steps: metrics.gauge("nvp_max_truncation_steps"),
+            dedup_classes: metrics.counter("nvp_dedup_classes_total"),
+            dedup_hits: metrics.counter("nvp_dedup_hits_total"),
+            steady_state_detections: metrics.counter("nvp_steady_state_detections_total"),
+            dense_solves: metrics.counter("nvp_dense_solves_total"),
+            iterative_solves: metrics.counter("nvp_iterative_solves_total"),
+            degraded_solutions: metrics.counter("nvp_degraded_solutions_total"),
+            guard_trips: metrics.counter("nvp_guard_trips_total"),
+            workers_used: metrics.gauge("nvp_workers_used"),
+            parallel_rows: metrics.counter("nvp_parallel_rows_total"),
+            permit_starvations: metrics.counter("nvp_permit_starvations_total"),
+        }
+    }
+
+    /// Adds the exploration and solver counters of `sol`.
+    fn add(&self, sol: &ChainSolution) {
+        let (explore, solver) = (&sol.explore_stats, &sol.solver_stats);
+        self.tangible_markings.add(explore.tangible_markings as u64);
+        self.vanishing_visits.add(explore.vanishing_visits as u64);
+        self.timed_arcs.add(explore.timed_arcs as u64);
+        self.zero_rate_arcs.add(explore.zero_rate_arcs as u64);
+        self.subordinated_chains
+            .add(solver.subordinated_chains as u64);
+        self.max_subordinated_states
+            .set_max(solver.max_subordinated_states as u64);
+        self.max_truncation_steps
+            .set_max(solver.max_truncation_steps as u64);
+        self.dedup_classes.add(solver.dedup_classes as u64);
+        self.dedup_hits.add(solver.dedup_hits as u64);
+        self.steady_state_detections
+            .add(solver.steady_state_detections as u64);
+        self.guard_trips.add(solver.guard_trips as u64);
+        self.workers_used.set_max(solver.workers_used as u64);
+        self.parallel_rows.add(solver.parallel_rows as u64);
+        self.permit_starvations
+            .add(solver.permit_starvations as u64);
+        // A Monte Carlo answer never ran a stationary solve; its MrgpStats
+        // backend field is just the default.
+        let monte_carlo = sol
+            .degraded
+            .as_ref()
+            .is_some_and(|d| d.method == DegradedMethod::MonteCarlo);
+        match solver.backend {
+            _ if monte_carlo => {}
+            StationaryBackend::Dense => self.dense_solves.inc(),
+            StationaryBackend::IterativePower => self.iterative_solves.inc(),
+        }
+        self.degraded_solutions
+            .add(u64::from(sol.degraded.is_some()));
+    }
 }
 
 impl Slot {
@@ -741,18 +754,21 @@ impl Slot {
 /// # }
 /// ```
 pub struct AnalysisEngine {
-    cache: Mutex<HashMap<ChainKey, Arc<Slot>>>,
-    /// Registry behind every lifetime counter below. [`SolverStats`] reads
-    /// the same cells the Prometheus exposition renders, so the two can
-    /// never drift. Per-engine (not process-global) so concurrently running
-    /// engines — tests, embedded uses — don't cross-contaminate.
+    cache: Mutex<CacheMap>,
+    /// Registry behind every counter, gauge and histogram below, and the
+    /// engine's only record of its work: [`SolverStats`] reads the same
+    /// cells the Prometheus exposition renders, so the two can never drift.
+    /// Per-engine (not process-global) so concurrently running engines —
+    /// tests, embedded uses — don't cross-contaminate.
     metrics: MetricsRegistry,
     hits: Counter,
     misses: Counter,
     evictions: Counter,
+    /// Exact cache shape: populated slots the map holds, and their summed
+    /// [`Slot::bytes`]. Every writer holds the map lock.
     cache_entries_gauge: Gauge,
     cache_bytes_gauge: Gauge,
-    reward_nanos: Counter,
+    solutions: SolutionCells,
     fallbacks: Counter,
     budget_exhaustions: Counter,
     sweep_cancellations: Counter,
@@ -761,9 +777,6 @@ pub struct AnalysisEngine {
     retries_taken: Counter,
     resume_hits: Counter,
     poisoned_locks: Counter,
-    dedup_classes: Counter,
-    dedup_hits: Counter,
-    steady_state_detections: Counter,
     store_hits: Counter,
     store_misses: Counter,
     store_quarantined: Counter,
@@ -773,7 +786,6 @@ pub struct AnalysisEngine {
     solve_hist: Histogram,
     reward_hist: Histogram,
     point_hist: Histogram,
-    workers_gauge: Gauge,
     budget_ms: Option<u64>,
     point_deadline_ms: Option<u64>,
     retries: u32,
@@ -803,7 +815,7 @@ impl Default for AnalysisEngine {
             evictions: metrics.counter("nvp_cache_evictions_total"),
             cache_entries_gauge: metrics.gauge("nvp_cache_entries"),
             cache_bytes_gauge: metrics.gauge("nvp_cache_bytes_approx"),
-            reward_nanos: metrics.counter("nvp_reward_nanoseconds_total"),
+            solutions: SolutionCells::new(&metrics),
             fallbacks: metrics.counter("nvp_fallbacks_total"),
             budget_exhaustions: metrics.counter("nvp_budget_exhaustions_total"),
             sweep_cancellations: metrics.counter("nvp_sweep_cancellations_total"),
@@ -812,9 +824,6 @@ impl Default for AnalysisEngine {
             retries_taken: metrics.counter("nvp_retries_total"),
             resume_hits: metrics.counter("nvp_resume_hits_total"),
             poisoned_locks: metrics.counter("nvp_poisoned_locks_recovered_total"),
-            dedup_classes: metrics.counter("nvp_dedup_classes_total"),
-            dedup_hits: metrics.counter("nvp_dedup_hits_total"),
-            steady_state_detections: metrics.counter("nvp_steady_state_detections_total"),
             store_hits: metrics.counter("nvp_store_hits_total"),
             store_misses: metrics.counter("nvp_store_misses_total"),
             store_quarantined: metrics.counter("nvp_store_corrupt_quarantined_total"),
@@ -824,7 +833,6 @@ impl Default for AnalysisEngine {
             solve_hist: metrics.histogram("nvp_stage_solve_ns"),
             reward_hist: metrics.histogram("nvp_stage_reward_ns"),
             point_hist: metrics.histogram("nvp_point_solve_ns"),
-            workers_gauge: metrics.gauge("nvp_workers_used"),
             metrics,
             budget_ms: None,
             point_deadline_ms: None,
@@ -842,11 +850,12 @@ impl Default for AnalysisEngine {
 
 impl std::fmt::Debug for AnalysisEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let stats = self.stats();
         f.debug_struct("AnalysisEngine")
             .field("budget_ms", &self.budget_ms)
             .field("monte_carlo", &self.monte_carlo.is_some())
-            .field("hits", &self.cache_hits())
-            .field("misses", &self.cache_misses())
+            .field("hits", &stats.cache_hits)
+            .field("misses", &stats.cache_misses)
             .finish_non_exhaustive()
     }
 }
@@ -994,7 +1003,7 @@ impl AnalysisEngine {
     /// thread while it held the lock) instead of propagating the panic. The
     /// map's entries are `Arc<Slot>` inserts — never left half-written — so
     /// a poisoned guard's contents are still consistent.
-    fn lock_cache(&self) -> std::sync::MutexGuard<'_, HashMap<ChainKey, Arc<Slot>>> {
+    fn lock_cache(&self) -> std::sync::MutexGuard<'_, CacheMap> {
         self.cache.lock().unwrap_or_else(|poisoned| {
             self.poisoned_locks.inc();
             self.cache.clear_poison();
@@ -1002,21 +1011,43 @@ impl AnalysisEngine {
         })
     }
 
-    /// Locks a cache slot, recovering from poisoning. A slot is only
+    /// Locks `key`'s cache slot, recovering from poisoning. A slot is only
     /// written *after* a solve completes, so on poison its value — solved
     /// before the poisoning panic, or `None` — would actually be sound; it
     /// is invalidated anyway out of caution, costing one recomputation.
     fn lock_slot<'a>(
         &self,
-        slot: &'a Slot,
+        key: &ChainKey,
+        slot: &'a Arc<Slot>,
     ) -> std::sync::MutexGuard<'a, Option<Arc<ChainSolution>>> {
         slot.value.lock().unwrap_or_else(|poisoned| {
             self.poisoned_locks.inc();
             slot.value.clear_poison();
             let mut guard = poisoned.into_inner();
-            *guard = None;
+            if guard.take().is_some() {
+                self.set_slot_bytes(&self.lock_cache(), key, slot, 0);
+            }
             guard
         })
+    }
+
+    /// Sets `slot`'s [`Slot::bytes`] and, when `map` holds the slot, moves
+    /// the cache-shape gauges by the change. Taking the map guard proves the
+    /// caller holds the lock that serializes every gauge writer, so the
+    /// read-modify-write below cannot lose an update.
+    fn set_slot_bytes(&self, map: &CacheMap, key: &ChainKey, slot: &Arc<Slot>, bytes: u64) {
+        let old = slot.bytes.swap(bytes, Ordering::Relaxed);
+        if !holds(map, key, slot) || old == bytes {
+            return;
+        }
+        let (entries, total) = (self.cache_entries_gauge.get(), self.cache_bytes_gauge.get());
+        if old == 0 {
+            self.cache_entries_gauge.set(entries + 1);
+        } else if bytes == 0 {
+            self.cache_entries_gauge.set(entries.saturating_sub(1));
+        }
+        self.cache_bytes_gauge
+            .set((total + bytes).saturating_sub(old));
     }
 
     /// Returns the chain solution for `params`, solving it on the first
@@ -1053,32 +1084,47 @@ impl AnalysisEngine {
             .store
             .as_ref()
             .map(|_| key.store_bytes(SolveOptions::default().dedup));
-        let slot = {
-            let mut map = self.lock_cache();
-            Arc::clone(map.entry(key).or_default())
-        };
-        let mut guard = self.lock_slot(&slot);
-        slot.touch(&self.cache_clock);
-        if let Some(solution) = guard.as_ref() {
-            self.hits.inc();
-            return Ok(Arc::clone(solution));
-        }
-        self.misses.inc();
-        let solution = match self.store_load(params, backend, budget, key_bytes.as_deref()) {
-            Some(warm) => Arc::new(warm),
-            None => {
-                let solved = self.solve_chain(params, backend, budget)?;
-                self.store_save(key_bytes.as_deref(), &solved);
-                Arc::new(solved)
+        loop {
+            let slot = Arc::clone(self.lock_cache().entry(key.clone()).or_default());
+            let mut guard = self.lock_slot(&key, &slot);
+            slot.touch(&self.cache_clock);
+            if let Some(solution) = guard.as_ref() {
+                self.hits.inc();
+                return Ok(Arc::clone(solution));
             }
-        };
-        *guard = Some(Arc::clone(&solution));
-        // The insert may have pushed the cache over its configured bound;
-        // evict (and refresh the cache-shape gauges) with the slot guard
-        // released, preserving the map-then-slot lock order.
-        drop(guard);
-        self.enforce_cache_bound();
-        Ok(solution)
+            // An empty slot the map no longer holds was dropped by a failed
+            // solve (or a clear) while this thread waited on it; solving into
+            // it would cache nothing, so start over on the map's slot.
+            if !holds(&self.lock_cache(), &key, &slot) {
+                continue;
+            }
+            self.misses.inc();
+            let solved = match self.store_load(params, backend, budget, key_bytes.as_deref()) {
+                Some(warm) => Ok(warm),
+                None => self.solve_chain(params, backend, budget).inspect(|solved| {
+                    self.store_save(key_bytes.as_deref(), solved);
+                }),
+            };
+            let solution = match solved {
+                Ok(solution) => Arc::new(solution),
+                Err(e) => {
+                    // Failures are not cached, and neither is their empty
+                    // slot: failing keys must not grow the map.
+                    let mut map = self.lock_cache();
+                    if holds(&map, &key, &slot) {
+                        map.remove(&key);
+                    }
+                    return Err(e);
+                }
+            };
+            self.solutions.add(&solution);
+            *guard = Some(Arc::clone(&solution));
+            self.set_slot_bytes(&self.lock_cache(), &key, &slot, solution.approx_bytes());
+            // The insert may have pushed the cache over its configured bound.
+            drop(guard);
+            self.enforce_cache_bound();
+            return Ok(solution);
+        }
     }
 
     /// The disk tier of the cache: looks `key_bytes` up in the persistent
@@ -1170,12 +1216,12 @@ impl AnalysisEngine {
     ) -> Option<ChainSolution> {
         let t0 = Instant::now();
         let net = model::build_model(params).ok()?;
-        let build_time = t0.elapsed();
+        self.build_hist.record_duration(t0.elapsed());
         let t1 = Instant::now();
         let (graph, explore_stats) =
             nvp_petri::reach::explore_with_stats_budgeted(&net, backend.max_markings(), budget)
                 .ok()?;
-        let explore_time = t1.elapsed();
+        self.explore_hist.record_duration(t1.elapsed());
         let dims_match = record.probabilities.len() == graph.tangible_count()
             && record.tangible_markings == explore_stats.tangible_markings as u64
             && record.vanishing_visits == explore_stats.vanishing_visits as u64
@@ -1197,10 +1243,6 @@ impl AnalysisEngine {
             explore_stats,
             solver_stats,
             degraded,
-            build_time,
-            explore_time,
-            // No solve ran; the stage-time ledger stays honest.
-            solve_time: Duration::ZERO,
         })
     }
 
@@ -1827,93 +1869,72 @@ impl AnalysisEngine {
         }
     }
 
-    /// Chain requests served from the cache so far.
-    pub fn cache_hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Chain requests that ran the full chain stage so far.
-    pub fn cache_misses(&self) -> u64 {
-        self.misses.get()
-    }
-
-    /// Number of chain solutions currently cached.
-    pub fn cache_len(&self) -> usize {
-        let map = self.lock_cache();
-        map.values()
-            .filter(|slot| self.lock_slot(slot).is_some())
-            .count()
-    }
-
-    /// Approximate in-memory footprint of the cached chain solutions
-    /// ([`ChainSolution::approx_bytes`] summed over populated slots).
-    pub fn cache_bytes_approx(&self) -> u64 {
-        let map = self.lock_cache();
-        map.values()
-            .map(|slot| {
-                self.lock_slot(slot)
-                    .as_ref()
-                    .map_or(0, |sol| sol.approx_bytes())
-            })
-            .sum()
-    }
-
-    /// Drops all cached chain solutions. Hit/miss counters are kept.
+    /// Drops all cached chain solutions. Counters are kept.
     pub fn clear(&self) {
-        self.lock_cache().clear();
+        let mut map = self.lock_cache();
+        map.clear();
         self.cache_entries_gauge.set(0);
         self.cache_bytes_gauge.set(0);
     }
 
     /// Evicts least-recently-used cache entries until the configured
-    /// bounds hold, then publishes the cache-shape gauges. Slots are
-    /// inspected with `try_lock`: a busy slot is an in-flight solve (or a
-    /// concurrent reader) and is simply skipped this round — it is never
-    /// evicted from under its solving thread, and the bound is re-checked
-    /// on the next insert anyway. Runs entirely under the map-then-slot
-    /// lock order, so it cannot deadlock with the solve path.
+    /// bounds hold. Only populated slots are candidates: an empty one is an
+    /// in-flight solve and is never evicted from under its solving thread.
+    /// Reads no slot lock; a reader holding an evicted entry keeps its
+    /// [`Arc`].
     fn enforce_cache_bound(&self) {
-        loop {
-            let mut entries = 0usize;
-            let mut bytes = 0u64;
-            let mut oldest: Option<(ChainKey, u64)> = None;
-            {
-                let map = self.lock_cache();
-                for (key, slot) in map.iter() {
-                    let Ok(guard) = slot.value.try_lock() else {
-                        continue;
-                    };
-                    if guard.as_ref().is_none() {
-                        continue;
-                    }
-                    entries += 1;
-                    bytes += guard.as_ref().map_or(0, |sol| sol.approx_bytes());
-                    let used = slot.last_used.load(Ordering::Relaxed);
-                    if oldest.as_ref().is_none_or(|(_, t)| used < *t) {
-                        oldest = Some((key.clone(), used));
-                    }
-                }
-            }
-            let over = self.max_cache_entries.is_some_and(|cap| entries > cap)
-                || self.max_cache_bytes.is_some_and(|cap| bytes > cap);
-            let (Some((key, _)), true) = (oldest, over) else {
-                self.cache_entries_gauge.set(entries as u64);
-                self.cache_bytes_gauge.set(bytes);
+        let mut map = self.lock_cache();
+        while self
+            .max_cache_entries
+            .is_some_and(|cap| self.cache_entries_gauge.get() > cap as u64)
+            || self
+                .max_cache_bytes
+                .is_some_and(|cap| self.cache_bytes_gauge.get() > cap)
+        {
+            let Some((key, slot)) = map
+                .iter()
+                .filter(|(_, slot)| slot.bytes.load(Ordering::Relaxed) > 0)
+                .min_by_key(|(_, slot)| slot.last_used.load(Ordering::Relaxed))
+                .map(|(key, slot)| (key.clone(), Arc::clone(slot)))
+            else {
                 return;
             };
-            self.lock_cache().remove(&key);
+            self.set_slot_bytes(&map, &key, &slot, 0);
+            map.remove(&key);
             self.evictions.inc();
         }
     }
 
-    /// Aggregates the statistics of everything this engine has computed.
+    /// Aggregates the statistics of everything this engine has computed,
+    /// read from its metrics registry without taking any cache lock.
     pub fn stats(&self) -> SolverStats {
-        let mut s = SolverStats {
-            cache_hits: self.cache_hits(),
-            cache_misses: self.cache_misses(),
+        let c = &self.solutions;
+        let total = |h: &Histogram| Duration::from_nanos(h.snapshot().sum);
+        SolverStats {
+            cache_hits: self.hits.get(),
+            cache_misses: self.misses.get(),
             cache_evictions: self.evictions.get(),
+            chain_solutions: self.cache_entries_gauge.get() as usize,
+            cache_bytes: self.cache_bytes_gauge.get(),
+            tangible_markings: c.tangible_markings.get() as usize,
+            vanishing_visits: c.vanishing_visits.get() as usize,
+            timed_arcs: c.timed_arcs.get() as usize,
+            zero_rate_arcs: c.zero_rate_arcs.get() as usize,
+            subordinated_chains: c.subordinated_chains.get() as usize,
+            max_subordinated_states: c.max_subordinated_states.get() as usize,
+            max_truncation_steps: c.max_truncation_steps.get() as usize,
+            dedup_classes: c.dedup_classes.get() as usize,
+            dedup_hits: c.dedup_hits.get() as usize,
+            steady_state_detections: c.steady_state_detections.get() as usize,
+            dense_solves: c.dense_solves.get() as usize,
+            iterative_solves: c.iterative_solves.get() as usize,
             fallbacks_taken: self.fallbacks.get(),
+            degraded_solutions: c.degraded_solutions.get() as usize,
+            guard_trips: c.guard_trips.get() as usize,
             budget_exhaustions: self.budget_exhaustions.get(),
+            workers_used: c.workers_used.get() as usize,
+            parallel_rows: c.parallel_rows.get() as usize,
+            permit_starvations: c.permit_starvations.get() as usize,
             sweep_cancellations: self.sweep_cancellations.get(),
             worker_panics: self.worker_panics.get(),
             rejuvenations: self.rejuvenations.get(),
@@ -1924,62 +1945,15 @@ impl AnalysisEngine {
             store_misses: self.store_misses.get(),
             store_corrupt_quarantined: self.store_quarantined.get(),
             store_write_failures: self.store_write_failures.get(),
-            reward_time: Duration::from_nanos(self.reward_nanos.get()),
-            ..SolverStats::default()
-        };
-        let map = self.lock_cache();
-        for slot in map.values() {
-            let guard = self.lock_slot(slot);
-            let Some(sol) = guard.as_ref() else {
-                continue;
-            };
-            s.chain_solutions += 1;
-            s.tangible_markings += sol.explore_stats.tangible_markings;
-            s.vanishing_visits += sol.explore_stats.vanishing_visits;
-            s.timed_arcs += sol.explore_stats.timed_arcs;
-            s.zero_rate_arcs += sol.explore_stats.zero_rate_arcs;
-            s.subordinated_chains += sol.solver_stats.subordinated_chains;
-            s.max_subordinated_states = s
-                .max_subordinated_states
-                .max(sol.solver_stats.max_subordinated_states);
-            s.max_truncation_steps = s
-                .max_truncation_steps
-                .max(sol.solver_stats.max_truncation_steps);
-            s.dedup_classes += sol.solver_stats.dedup_classes;
-            s.dedup_hits += sol.solver_stats.dedup_hits;
-            s.steady_state_detections += sol.solver_stats.steady_state_detections;
-            s.guard_trips += sol.solver_stats.guard_trips;
-            s.workers_used = s.workers_used.max(sol.solver_stats.workers_used);
-            s.parallel_rows += sol.solver_stats.parallel_rows;
-            s.permit_starvations += sol.solver_stats.permit_starvations;
-            if sol.degraded.is_some() {
-                s.degraded_solutions += 1;
-            }
-            // A Monte Carlo answer never ran a stationary solve; its
-            // MrgpStats backend field is just the default.
-            if !matches!(
-                sol.degraded,
-                Some(DegradedInfo {
-                    method: DegradedMethod::MonteCarlo,
-                    ..
-                })
-            ) {
-                match sol.solver_stats.backend {
-                    StationaryBackend::Dense => s.dense_solves += 1,
-                    StationaryBackend::IterativePower => s.iterative_solves += 1,
-                }
-            }
-            s.build_time += sol.build_time;
-            s.explore_time += sol.explore_time;
-            s.solve_time += sol.solve_time;
+            build_time: total(&self.build_hist),
+            explore_time: total(&self.explore_hist),
+            solve_time: total(&self.solve_hist),
+            reward_time: total(&self.reward_hist),
         }
-        s
     }
 
     fn note_reward_time(&self, since: Instant) {
-        let nanos = u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.reward_nanos.add(nanos);
-        self.reward_hist.record(nanos);
+        self.reward_hist.record_duration(since.elapsed());
     }
 
     /// The fresh per-solve budget implied by [`AnalysisEngine::with_budget_ms`].
@@ -2003,8 +1977,8 @@ impl AnalysisEngine {
         budget.with_cancel(Arc::clone(&self.cancel))
     }
 
-    /// Runs the chain stage uncached — build, explore, solve, with per-stage
-    /// wall times — under `budget` and the engine's fallback chain.
+    /// Runs the chain stage uncached — build, explore, solve, each timed into
+    /// its stage histogram — under `budget` and the engine's fallback chain.
     fn solve_chain(
         &self,
         params: &SystemParams,
@@ -2017,8 +1991,7 @@ impl AnalysisEngine {
             let _build_span = nvp_obs::span("model.build");
             model::build_model(params)?
         };
-        let build_time = t0.elapsed();
-        self.build_hist.record_duration(build_time);
+        self.build_hist.record_duration(t0.elapsed());
         let t1 = Instant::now();
         let (graph, explore_stats) =
             nvp_petri::reach::explore_with_stats_budgeted(&net, backend.max_markings(), budget)
@@ -2031,8 +2004,7 @@ impl AnalysisEngine {
                     }
                     e
                 })?;
-        let explore_time = t1.elapsed();
-        self.explore_hist.record_duration(explore_time);
+        self.explore_hist.record_duration(t1.elapsed());
         let t2 = Instant::now();
         let primary = SolveOptions {
             budget: budget.clone(),
@@ -2064,13 +2036,7 @@ impl AnalysisEngine {
                 self.recover(&net, &graph, budget, primary_err)?
             }
         };
-        let solve_time = t2.elapsed();
-        self.solve_hist.record_duration(solve_time);
-        self.workers_gauge.set_max(solver_stats.workers_used as u64);
-        self.dedup_classes.add(solver_stats.dedup_classes as u64);
-        self.dedup_hits.add(solver_stats.dedup_hits as u64);
-        self.steady_state_detections
-            .add(solver_stats.steady_state_detections as u64);
+        self.solve_hist.record_duration(t2.elapsed());
         if !chain_span.is_inert() {
             chain_span.record("tangible_markings", explore_stats.tangible_markings);
             chain_span.record("degraded", degraded.is_some());
@@ -2082,9 +2048,6 @@ impl AnalysisEngine {
             explore_stats,
             solver_stats,
             degraded,
-            build_time,
-            explore_time,
-            solve_time,
         })
     }
 
@@ -2251,9 +2214,13 @@ mod tests {
         let params = SystemParams::paper_six_version();
         let grid = analysis::linspace(0.0, 1.0, 9);
         sweep(&engine, &params, ParamAxis::Alpha, &grid).unwrap();
-        assert_eq!(engine.cache_misses(), 1, "one chain solve for 9 points");
-        assert_eq!(engine.cache_hits(), 8);
-        assert_eq!(engine.cache_len(), 1);
+        assert_eq!(
+            engine.stats().cache_misses,
+            1,
+            "one chain solve for 9 points"
+        );
+        assert_eq!(engine.stats().cache_hits, 8);
+        assert_eq!(engine.stats().chain_solutions, 1);
         // The other two reward axes reuse the same solution too.
         sweep(
             &engine,
@@ -2269,8 +2236,8 @@ mod tests {
             &analysis::linspace(0.3, 0.9, 5),
         )
         .unwrap();
-        assert_eq!(engine.cache_misses(), 1, "still a single chain solve");
-        assert_eq!(engine.cache_len(), 1);
+        assert_eq!(engine.stats().cache_misses, 1, "still a single chain solve");
+        assert_eq!(engine.stats().chain_solutions, 1);
     }
 
     #[test]
@@ -2279,11 +2246,15 @@ mod tests {
         let params = SystemParams::paper_six_version();
         let grid = [300.0, 600.0, 900.0];
         sweep(&engine, &params, ParamAxis::RejuvenationInterval, &grid).unwrap();
-        assert_eq!(engine.cache_misses(), 3, "interval reshapes the chain");
+        assert_eq!(
+            engine.stats().cache_misses,
+            3,
+            "interval reshapes the chain"
+        );
         // Re-running the same grid is all hits.
         sweep(&engine, &params, ParamAxis::RejuvenationInterval, &grid).unwrap();
-        assert_eq!(engine.cache_misses(), 3);
-        assert_eq!(engine.cache_hits(), 3);
+        assert_eq!(engine.stats().cache_misses, 3);
+        assert_eq!(engine.stats().cache_hits, 3);
     }
 
     #[test]
@@ -2304,8 +2275,8 @@ mod tests {
                 .unwrap();
             assert_eq!(first.to_bits(), uncached.to_bits(), "n = {}", params.n);
             assert_eq!(second.to_bits(), uncached.to_bits(), "n = {}", params.n);
-            assert_eq!(engine.cache_misses(), 1);
-            assert_eq!(engine.cache_hits(), 1);
+            assert_eq!(engine.stats().cache_misses, 1);
+            assert_eq!(engine.stats().cache_hits, 1);
         }
     }
 
@@ -2340,7 +2311,11 @@ mod tests {
         let engine = AnalysisEngine::new().with_jobs(Jobs::Fixed(4));
         let parallel = sweep(&engine, &params, ParamAxis::Alpha, &grid).unwrap();
         assert_eq!(sequential, parallel);
-        assert_eq!(engine.cache_misses(), 1, "parallel workers shared the slot");
+        assert_eq!(
+            engine.stats().cache_misses,
+            1,
+            "parallel workers shared the slot"
+        );
     }
 
     #[test]
@@ -2369,8 +2344,8 @@ mod tests {
         assert!(text.contains("uniformization depth"), "{text}");
         // clear() drops solutions but keeps counters.
         engine.clear();
-        assert_eq!(engine.cache_len(), 0);
-        assert_eq!(engine.cache_misses(), 1);
+        assert_eq!(engine.stats().chain_solutions, 0);
+        assert_eq!(engine.stats().cache_misses, 1);
     }
 
     #[test]
@@ -2379,11 +2354,15 @@ mod tests {
         let p = SystemParams::paper_six_version();
         // A tiny budget fails exploration...
         assert!(engine.chain(&p, SolverBackend::Budget(3)).is_err());
-        assert_eq!(engine.cache_misses(), 1);
-        assert_eq!(engine.cache_len(), 0, "failures leave no cached entry");
+        assert_eq!(engine.stats().cache_misses, 1);
+        assert_eq!(
+            engine.stats().chain_solutions,
+            0,
+            "failures leave no cached entry"
+        );
         // ...and the same key retried still recomputes (and fails again).
         assert!(engine.chain(&p, SolverBackend::Budget(3)).is_err());
-        assert_eq!(engine.cache_misses(), 2);
+        assert_eq!(engine.stats().cache_misses, 2);
     }
 
     #[test]
@@ -2574,7 +2553,7 @@ mod tests {
                 50.0,
             )
             .unwrap();
-        assert!(coarse_engine.cache_misses() < engine.cache_misses());
+        assert!(coarse_engine.stats().cache_misses < engine.stats().cache_misses);
         assert!((coarse.0 - default.0).abs() <= 50.0 + 0.5);
     }
 
@@ -2680,7 +2659,7 @@ mod tests {
             "{err:?}"
         );
         assert_eq!(engine.stats().fallbacks_taken, 1, "alternate was tried");
-        assert_eq!(engine.cache_len(), 0);
+        assert_eq!(engine.stats().chain_solutions, 0);
     }
 
     #[cfg(feature = "fault-inject")]
@@ -2810,7 +2789,7 @@ mod tests {
         assert!(poisoner.is_err());
         assert!(engine.cache.is_poisoned());
         // Every cache entry point recovers instead of unwinding.
-        assert_eq!(engine.cache_len(), 1);
+        assert_eq!(engine.stats().chain_solutions, 1);
         let again = engine
             .expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)
             .unwrap();
@@ -2827,46 +2806,171 @@ mod tests {
             panic!("poisoning the slot lock");
         }));
         assert!(slot_poisoner.is_err());
-        let misses_before = engine.cache_misses();
+        let misses_before = engine.stats().cache_misses;
         let recomputed = engine
             .expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)
             .unwrap();
         assert!((recomputed - healthy).abs() < 1e-12);
         assert_eq!(
-            engine.cache_misses(),
+            engine.stats().cache_misses,
             misses_before + 1,
             "slot was invalidated"
         );
+        assert_eq!(engine.stats().chain_solutions, 1, "one entry, counted once");
     }
 
     #[test]
-    fn stats_delta_isolates_activity_since_the_snapshot() {
-        let engine = AnalysisEngine::new().with_jobs(Jobs::Fixed(1));
+    fn failed_solves_leave_no_map_entries() {
+        let engine = AnalysisEngine::new();
+        let params = |i: u32| {
+            ParamAxis::MeanTimeToFailure
+                .apply(&SystemParams::paper_six_version(), 600.0 + f64::from(i))
+        };
+        for i in 0..20 {
+            assert!(engine.chain(&params(i), SolverBackend::Budget(3)).is_err());
+        }
+        engine.cancel_inflight();
+        for i in 0..20 {
+            assert!(engine.chain(&params(i), SolverBackend::Auto).is_err());
+        }
+        assert!(engine.lock_cache().is_empty(), "failing keys grew the map");
+        engine.reset_cancellation();
+        engine.chain(&params(0), SolverBackend::Auto).unwrap();
+        assert_eq!(engine.lock_cache().len(), 1);
+        let stats = engine.stats();
+        assert_eq!((stats.cache_misses, stats.chain_solutions), (41, 1));
+    }
+
+    #[test]
+    fn a_waiter_on_a_dropped_slot_solves_into_the_map() {
+        let engine = Arc::new(AnalysisEngine::new());
         let params = SystemParams::paper_six_version();
-        let grid = analysis::linspace(0.0, 1.0, 4);
-        sweep(&engine, &params, ParamAxis::Alpha, &grid).unwrap();
-        let baseline = engine.stats().snapshot();
-        assert_eq!(baseline.cache_misses, 1);
-        assert_eq!(baseline.cache_hits, 3);
-        // Re-running the same grid is pure cache traffic; the delta must
-        // show only the new hits, not the replayed history.
-        sweep(&engine, &params, ParamAxis::Alpha, &grid).unwrap();
-        let delta = engine.stats().delta(&baseline);
-        assert_eq!(delta.cache_misses, 0, "no new chain solves");
-        assert_eq!(delta.cache_hits, 4);
-        assert_eq!(delta.tangible_markings, 0, "no new exploration");
-        assert_eq!(delta.build_time, Duration::ZERO);
-        assert_eq!(delta.explore_time, Duration::ZERO);
-        assert_eq!(delta.solve_time, Duration::ZERO);
-        assert!(delta.reward_time > Duration::ZERO, "rewards did run");
-        // High-water marks and cache-shape gauges stay absolute.
-        assert_eq!(delta.workers_used, baseline.workers_used);
-        assert_eq!(delta.chain_solutions, 1);
-        // A stale baseline (from after more work) saturates instead of
-        // wrapping.
-        let later = engine.stats().snapshot();
-        let inverted = baseline.delta(&later);
-        assert_eq!(inverted.cache_hits, 0);
+        let key = ChainKey::of(&params, SolverBackend::Auto.max_markings());
+        // A solve in flight holds its slot...
+        let dropped = Arc::clone(engine.lock_cache().entry(key.clone()).or_default());
+        let inflight = dropped.value.lock().unwrap();
+        let waiter = {
+            let (engine, params) = (Arc::clone(&engine), params.clone());
+            std::thread::spawn(move || engine.chain(&params, SolverBackend::Auto).map(|_| ()))
+        };
+        // ...while a second request for the key picks the slot up (the map,
+        // this test and the waiter each hold a reference)...
+        while Arc::strong_count(&dropped) < 3 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // ...then the solve fails and drops the slot from the map.
+        engine.lock_cache().remove(&key);
+        drop(inflight);
+        waiter.join().unwrap().unwrap();
+        assert!(dropped.value.lock().unwrap().is_none(), "filled an orphan");
+        let held = Arc::clone(&engine.lock_cache()[&key]);
+        assert!(held.value.lock().unwrap().is_some());
+        assert_eq!(engine.stats().chain_solutions, 1);
+    }
+
+    #[test]
+    fn an_inflight_solve_blocks_neither_telemetry_nor_other_keys() {
+        use std::sync::mpsc;
+        let engine = Arc::new(AnalysisEngine::new());
+        let params = SystemParams::paper_six_version();
+        engine.chain(&params, SolverBackend::Auto).unwrap();
+        // An in-flight solve holds its (still empty) slot's mutex for as
+        // long as the solve runs; here, until the test releases it or
+        // fails and drops the sender.
+        let key = ChainKey::of(
+            &SystemParams::paper_four_version(),
+            SolverBackend::Auto.max_markings(),
+        );
+        let slot = Arc::clone(engine.lock_cache().entry(key).or_default());
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let holder = std::thread::spawn(move || {
+            let _inflight = slot.value.lock().unwrap();
+            held_tx.send(()).unwrap();
+            let _ = release_rx.recv();
+        });
+        held_rx.recv().unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        let telemetry = {
+            let (engine, done) = (Arc::clone(&engine), done_tx.clone());
+            std::thread::spawn(move || {
+                let stats = engine.stats();
+                let prom = engine.metrics().render_prometheus();
+                done.send((stats.chain_solutions, prom.len())).unwrap();
+            })
+        };
+        let hit = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                engine.chain(&params, SolverBackend::Auto).unwrap();
+                done_tx.send((0, 0)).unwrap();
+            })
+        };
+        for _ in 0..2 {
+            done_rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("a telemetry read or a cache hit waited on the in-flight solve");
+        }
+        release_tx.send(()).unwrap();
+        for thread in [holder, telemetry, hit] {
+            thread.join().unwrap();
+        }
+        assert_eq!(engine.stats().cache_hits, 1);
+    }
+
+    /// The value of the unlabeled series `name` in a Prometheus exposition.
+    fn series(text: &str, name: &str) -> u64 {
+        text.lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no series {name}:\n{text}"))
+    }
+
+    #[test]
+    fn stats_and_the_exposition_agree_under_eviction_and_warm_reload() {
+        let engine = AnalysisEngine::new()
+            .with_jobs(Jobs::Fixed(1))
+            .with_store(store_in("agree"))
+            .with_max_cache_entries(2);
+        let params = SystemParams::paper_six_version();
+        let grid = [600.0, 800.0, 1000.0, 1200.0];
+        sweep(&engine, &params, ParamAxis::MeanTimeToFailure, &grid).unwrap();
+        // The least recently used point was evicted; it reloads warm.
+        let evicted = ParamAxis::MeanTimeToFailure.apply(&params, grid[0]);
+        let warm = engine.chain(&evicted, SolverBackend::Auto).unwrap();
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.cache_misses, stats.cache_evictions, stats.store_hits),
+            (5, 3, 1)
+        );
+        assert_eq!(stats.chain_solutions, 2);
+        assert_eq!(stats.cache_bytes, 2 * warm.approx_bytes());
+        // Lifetime totals over every solution that entered the cache,
+        // evicted ones included.
+        assert_eq!(
+            stats.tangible_markings,
+            5 * warm.explore_stats.tangible_markings
+        );
+        assert_eq!(stats.dedup_classes, 5 * warm.solver_stats.dedup_classes);
+        let prom = engine.metrics().render_prometheus();
+        for (name, value) in [
+            ("nvp_cache_hits_total", stats.cache_hits),
+            ("nvp_cache_misses_total", stats.cache_misses),
+            ("nvp_cache_evictions_total", stats.cache_evictions),
+            ("nvp_cache_entries", stats.chain_solutions as u64),
+            ("nvp_cache_bytes_approx", stats.cache_bytes),
+            ("nvp_store_hits_total", stats.store_hits),
+            ("nvp_dedup_classes_total", stats.dedup_classes as u64),
+            (
+                "nvp_tangible_markings_total",
+                stats.tangible_markings as u64,
+            ),
+            (
+                "nvp_degraded_solutions_total",
+                stats.degraded_solutions as u64,
+            ),
+        ] {
+            assert_eq!(series(&prom, name), value, "{name}");
+        }
     }
 
     #[test]
@@ -2947,7 +3051,11 @@ mod tests {
                 cold.solver_stats.dedup_classes
             );
             assert!(warm.degraded.is_none());
-            assert_eq!(warm.solve_time, Duration::ZERO, "no solve ran");
+            assert_eq!(
+                warm_engine.stats().solve_time,
+                Duration::ZERO,
+                "no solve ran"
+            );
             // Downstream reward math lands on identical bits too.
             let cold_r = cold_engine
                 .expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)
@@ -2968,7 +3076,11 @@ mod tests {
         // Four distinct chain keys through a cache bounded at two entries.
         let grid = [600.0, 800.0, 1000.0, 1200.0];
         sweep(&engine, &params, ParamAxis::MeanTimeToFailure, &grid).unwrap();
-        assert!(engine.cache_len() <= 2, "{}", engine.cache_len());
+        assert!(
+            engine.stats().chain_solutions <= 2,
+            "{}",
+            engine.stats().chain_solutions
+        );
         let stats = engine.stats();
         assert_eq!(stats.cache_misses, 4);
         assert_eq!(stats.cache_evictions, 2);
@@ -2976,7 +3088,7 @@ mod tests {
         let prom = engine.metrics().render_prometheus();
         assert!(prom.contains("nvp_cache_evictions_total 2"), "{prom}");
         assert!(prom.contains("nvp_cache_entries 2"), "{prom}");
-        assert!(engine.cache_bytes_approx() > 0);
+        assert!(engine.stats().cache_bytes > 0);
     }
 
     #[test]
@@ -2992,7 +3104,7 @@ mod tests {
         assert_eq!(bounded.to_bits(), reference.to_bits());
         // Every solution is bigger than one byte, so the insert is evicted
         // straight away — the bound always wins over retention.
-        assert_eq!(engine.cache_len(), 0);
+        assert_eq!(engine.stats().chain_solutions, 0);
         assert!(engine.stats().cache_evictions >= 1);
     }
 
@@ -3015,7 +3127,7 @@ mod tests {
         // Solving a second system pushes the cache over its bound and
         // evicts the first (least recently used) solution.
         engine.chain(&six, SolverBackend::Auto).unwrap();
-        assert_eq!(engine.cache_len(), 1);
+        assert_eq!(engine.stats().chain_solutions, 1);
         assert_eq!(engine.stats().cache_evictions, 1);
         let warm = engine.chain(&four, SolverBackend::Auto).unwrap();
         let stats = engine.stats();
@@ -3030,7 +3142,11 @@ mod tests {
             .map(|p| p.to_bits())
             .collect();
         assert_eq!(warm_bits, cold_bits, "reload after eviction is bit-exact");
-        assert_eq!(warm.solve_time, Duration::ZERO, "no solve ran");
+        // Two cold solves; the warm reload built and explored but solved
+        // nothing.
+        let prom = engine.metrics().render_prometheus();
+        assert!(prom.contains("nvp_stage_solve_ns_count 2"), "{prom}");
+        assert!(prom.contains("nvp_stage_explore_ns_count 3"), "{prom}");
     }
 
     #[test]

@@ -549,7 +549,7 @@ fn aging_snapshot(inner: &Arc<ServerInner>) -> AgingSnapshot {
             .load(Ordering::SeqCst)
             .saturating_sub(inner.cycle_jobs_base.load(Ordering::SeqCst)),
         cycle_secs,
-        cache_entries: inner.engine().cache_len(),
+        cache_entries: inner.engine().stats().chain_solutions,
         panic_streak: inner.panic_streak.load(Ordering::SeqCst),
     }
 }
@@ -1409,7 +1409,7 @@ fn healthz(inner: &Arc<ServerInner>) -> Response {
                 ),
                 (
                     "cache_bytes_approx".to_owned(),
-                    Json::Num(engine.cache_bytes_approx() as f64),
+                    Json::Num(stats.cache_bytes as f64),
                 ),
                 (
                     "cache_evictions".to_owned(),

@@ -470,6 +470,45 @@ fn metric_value(scrape: &str, name: &str) -> f64 {
         .unwrap()
 }
 
+#[test]
+fn healthz_engine_block_matches_the_metrics_series_after_evictions() {
+    let ts = TestServer::start(
+        AnalysisEngine::new().with_max_cache_entries(2),
+        ServeConfig::default(),
+    );
+    let id = {
+        let _guard = submit_lock();
+        submit(
+            ts.addr,
+            "/v1/sweep",
+            r#"{"axis":"gamma","from":300,"to":1500,"steps":4}"#,
+        )
+    };
+    assert_eq!(
+        await_job(ts.addr, id).get("status").unwrap().as_str(),
+        Some("done")
+    );
+    let health = roundtrip(ts.addr, "GET", "/healthz", None).json();
+    let engine = health.get("engine").unwrap();
+    let scrape = roundtrip(ts.addr, "GET", "/metrics", None).body;
+    for (field, series) in [
+        ("cache_hits", "nvp_cache_hits_total"),
+        ("cache_misses", "nvp_cache_misses_total"),
+        ("cache_entries", "nvp_cache_entries"),
+        ("cache_bytes_approx", "nvp_cache_bytes_approx"),
+        ("cache_evictions", "nvp_cache_evictions_total"),
+        ("chain_solutions", "nvp_cache_entries"),
+        ("degraded_solutions", "nvp_degraded_solutions_total"),
+        ("worker_panics", "nvp_worker_panics_total"),
+        ("store_hits", "nvp_store_hits_total"),
+    ] {
+        let value = engine.get(field).unwrap().as_f64().unwrap();
+        assert_eq!(value, metric_value(&scrape, series), "{field} vs {series}");
+    }
+    assert_eq!(metric_value(&scrape, "nvp_cache_evictions_total"), 2.0);
+    assert_eq!(metric_value(&scrape, "nvp_cache_entries"), 2.0);
+}
+
 /// A fresh on-disk store under the system temp dir, wiped per test run.
 fn temp_store(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("nvp-serve-e2e-{tag}"));
