@@ -46,8 +46,8 @@ use crate::state::SystemState;
 use crate::{model, Result};
 use nvp_mrgp::{MrgpError, MrgpStats, SolveMethod, SolveOptions, SteadyState};
 use nvp_numerics::{
-    alternate_backend, optim, stationary_backend_for, Jobs, NumericsError, SolveBudget,
-    StationaryBackend, WorkerPool,
+    alternate_backend, optim, panic_payload, stationary_backend_for, Jobs, NumericsError,
+    SolveBudget, StationaryBackend, WorkerPool,
 };
 use nvp_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use nvp_petri::net::PetriNet;
@@ -58,18 +58,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Renders a `catch_unwind` payload as text (`&str`/`String` payloads
-/// verbatim, anything else as an opaque marker).
-fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
 
 /// Convergence tolerance used when retrying a failed stationary solve on
 /// the alternate backend. Looser than the default (`1e-12`): a slightly
@@ -1708,31 +1696,7 @@ impl AnalysisEngine {
     ) -> Result<(f64, f64)> {
         // Half-second resolution is ample for intervals of hundreds of
         // seconds.
-        self.optimal_rejuvenation_interval_with_resolution(params, lo, hi, policy, 0.5)
-    }
-
-    /// [`AnalysisEngine::optimal_rejuvenation_interval`] with an explicit
-    /// search resolution: the search stops once the bracket around the
-    /// maximum is narrower than `resolution` seconds.
-    ///
-    /// # Errors
-    ///
-    /// Analysis errors at any probed interval, invalid bounds, or a
-    /// `resolution` that is not positive and finite.
-    pub fn optimal_rejuvenation_interval_with_resolution(
-        &self,
-        params: &SystemParams,
-        lo: f64,
-        hi: f64,
-        policy: RewardPolicy,
-        resolution: f64,
-    ) -> Result<(f64, f64)> {
-        if !(resolution.is_finite() && resolution > 0.0) {
-            return Err(crate::CoreError::InvalidParameter {
-                what: "resolution",
-                constraint: format!("must be positive and finite, got {resolution}"),
-            });
-        }
+        const RESOLUTION: f64 = 0.5;
         // golden_section_max takes an infallible closure; stash errors.
         let mut failure: Option<crate::CoreError> = None;
         let result = optim::golden_section_max(
@@ -1751,7 +1715,7 @@ impl AnalysisEngine {
             },
             lo,
             hi,
-            resolution,
+            RESOLUTION,
         );
         if let Some(e) = failure {
             return Err(e);
@@ -2336,6 +2300,13 @@ mod tests {
             stats.subordinated_chains > 0,
             "the clock subordinates chains"
         );
+        // Every subordinated chain is either a class representative or a
+        // dedup hit on one.
+        assert!(stats.dedup_classes >= 1, "{stats:?}");
+        assert_eq!(
+            stats.dedup_classes + stats.dedup_hits,
+            stats.subordinated_chains
+        );
         assert!(stats.max_truncation_steps > 0);
         assert_eq!(stats.dense_solves, 1);
         assert_eq!(stats.iterative_solves, 0);
@@ -2494,67 +2465,6 @@ mod tests {
             .collect();
         assert_eq!(parallel, sequential);
         assert_eq!(engine.stats().sweep_cancellations, 0);
-    }
-
-    #[test]
-    fn optimizer_resolution_is_validated() {
-        let engine = AnalysisEngine::new();
-        let params = SystemParams::paper_six_version();
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let err = engine
-                .optimal_rejuvenation_interval_with_resolution(
-                    &params,
-                    200.0,
-                    3000.0,
-                    RewardPolicy::FailedOnly,
-                    bad,
-                )
-                .unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    crate::CoreError::InvalidParameter {
-                        what: "resolution",
-                        ..
-                    }
-                ),
-                "resolution {bad}: {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn explicit_default_resolution_matches_the_default_search() {
-        let engine = AnalysisEngine::new();
-        let params = SystemParams::paper_six_version();
-        let default = engine
-            .optimal_rejuvenation_interval(&params, 400.0, 900.0, RewardPolicy::FailedOnly)
-            .unwrap();
-        let explicit = engine
-            .optimal_rejuvenation_interval_with_resolution(
-                &params,
-                400.0,
-                900.0,
-                RewardPolicy::FailedOnly,
-                0.5,
-            )
-            .unwrap();
-        assert_eq!(default.0.to_bits(), explicit.0.to_bits());
-        assert_eq!(default.1.to_bits(), explicit.1.to_bits());
-        // A coarser resolution needs fewer probes: strictly fewer chain
-        // solves than the cached run above already banked.
-        let coarse_engine = AnalysisEngine::new();
-        let coarse = coarse_engine
-            .optimal_rejuvenation_interval_with_resolution(
-                &params,
-                400.0,
-                900.0,
-                RewardPolicy::FailedOnly,
-                50.0,
-            )
-            .unwrap();
-        assert!(coarse_engine.stats().cache_misses < engine.stats().cache_misses);
-        assert!((coarse.0 - default.0).abs() <= 50.0 + 0.5);
     }
 
     #[cfg(feature = "fault-inject")]

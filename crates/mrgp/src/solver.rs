@@ -10,8 +10,8 @@ use nvp_numerics::guard::{
 use nvp_numerics::pool::{Jobs, WorkerPool};
 use nvp_numerics::sparse::CsrBuilder;
 use nvp_numerics::{
-    stationary_backend_for, StationaryBackend, StationaryOptions, DEFAULT_MAX_ITERATIONS,
-    DEFAULT_TOLERANCE,
+    panic_payload, stationary_backend_for, StationaryBackend, StationaryOptions,
+    DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE,
 };
 use nvp_petri::reach::TangibleReachGraph;
 use std::collections::HashMap;
@@ -648,19 +648,6 @@ fn solve_classes(
         unreachable!("cancelled slots imply a recorded error");
     }
     Ok(out)
-}
-
-/// Renders a `catch_unwind` payload as text: `&str`/`String` payloads (the
-/// overwhelmingly common case — `panic!`, `assert!`, slice indexing) verbatim,
-/// anything else as an opaque marker.
-pub(crate) fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
 }
 
 /// Embedded-chain row entries and conversion factors, both as sparse
@@ -1961,15 +1948,5 @@ mod tests {
                 other => panic!("expected WorkerPanicked under {jobs:?}, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn panic_payload_renders_str_and_string_and_opaque() {
-        assert_eq!(panic_payload(Box::new("boom")), "boom");
-        assert_eq!(panic_payload(Box::new(String::from("kaboom"))), "kaboom");
-        assert_eq!(
-            panic_payload(Box::new(42_u32)),
-            "<non-string panic payload>"
-        );
     }
 }

@@ -77,6 +77,20 @@ pub const DEFAULT_MAX_ITERATIONS: usize = 200_000;
 /// rather than power iteration. Shared by [`ctmc`] and [`dtmc`].
 pub(crate) const DENSE_SOLVE_LIMIT: usize = 600;
 
+/// Renders a `catch_unwind` payload as text: `&str`/`String` payloads (the
+/// overwhelmingly common case — `panic!`, `assert!`, slice indexing)
+/// verbatim, anything else as an opaque marker. Shared by every layer that
+/// isolates a worker panic (MRGP rows, engine solves, serve jobs).
+pub fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
+    }
+}
+
 /// The linear-algebra backend a stationary solve selects for a chain of a
 /// given size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -146,5 +160,20 @@ impl Default for StationaryOptions {
             max_iterations: DEFAULT_MAX_ITERATIONS,
             budget: SolveBudget::unlimited(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn panic_payload_renders_str_and_string_and_opaque() {
+        assert_eq!(panic_payload(Box::new("boom")), "boom");
+        assert_eq!(panic_payload(Box::new(String::from("kaboom"))), "kaboom");
+        assert_eq!(
+            panic_payload(Box::new(42_u32)),
+            "<non-string panic payload>"
+        );
     }
 }

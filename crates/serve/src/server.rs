@@ -22,9 +22,10 @@ use nvp_core::engine::{AnalysisEngine, SweepPointRecord};
 use nvp_core::jobs::{JobId, JobKind, JobOutcome, JobTable};
 use nvp_core::reliability::ReliabilitySource;
 use nvp_core::request::{AnalyzeRequest, SweepRequest};
+use nvp_numerics::panic_payload;
 use nvp_numerics::pool::{Permits, WorkerPool};
 use nvp_obs::json::Json;
-use nvp_obs::metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
+use nvp_obs::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use nvp_obs::recorder::{self, DumpContext, FlightRecorder};
 use nvp_obs::sink;
 use nvp_obs::trace::{self, SpanHandle};
@@ -305,16 +306,6 @@ enum JobSpec {
     Sweep(SweepRequest),
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic of unknown type".to_owned()
-    }
-}
-
 impl Server {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) around a
     /// shared engine. The engine's metrics registry gains the `nvp_http_*`
@@ -378,17 +369,6 @@ impl Server {
     /// The bound address (resolves the actual port after binding `:0`).
     pub fn local_addr(&self) -> SocketAddr {
         self.inner.local_addr
-    }
-
-    /// Per-endpoint request-latency snapshots, in the same order as the
-    /// endpoint vocabulary returned alongside each snapshot. The latency
-    /// bench reads quantiles from these instead of re-parsing `/metrics`.
-    pub fn latency_snapshots(&self) -> Vec<(&'static str, HistogramSnapshot)> {
-        ENDPOINTS
-            .iter()
-            .zip(self.inner.metrics.nanos_by.iter())
-            .map(|(name, histogram)| (*name, histogram.snapshot()))
-            .collect()
     }
 
     /// Installs the closure that builds the replacement engine for
@@ -601,10 +581,15 @@ fn flight_dump(inner: &Arc<ServerInner>, trigger: &str, detail: &str) {
     let context = dump_context(inner, trigger, detail);
     let seq = inner.flight_seq.fetch_add(1, Ordering::SeqCst) + 1;
     let path = dir.join(format!("flight-{seq:04}-{trigger}.jsonl"));
+    // Written under a temporary name and renamed into place, so a reader
+    // polling the directory never sees a half-written dump.
+    let partial = path.with_extension("tmp");
     let result = std::fs::create_dir_all(dir).and_then(|()| {
-        let mut file = io::BufWriter::new(std::fs::File::create(&path)?);
+        let mut file = io::BufWriter::new(std::fs::File::create(&partial)?);
         recorder::write_dump(&inner.flight, &context, &mut file)?;
-        file.flush()
+        file.flush()?;
+        drop(file);
+        std::fs::rename(&partial, &path)
     });
     match result {
         Ok(()) => sink::server(
@@ -859,7 +844,7 @@ fn serve_connection(inner: &Arc<ServerInner>, stream: TcpStream) {
                 }))
                 .unwrap_or_else(|payload| {
                     inner.metrics.panics.inc();
-                    let message = panic_message(payload);
+                    let message = panic_payload(payload);
                     sink::server(&request_id, &format!("handler panicked: {message}"));
                     Response::json(500, api::error_body("internal error: handler panicked"))
                 });
@@ -1209,7 +1194,7 @@ fn run_job(
         Err(payload) => {
             inner.metrics.panics.inc();
             inner.metrics.jobs_failed.inc();
-            let message = panic_message(payload);
+            let message = panic_payload(payload);
             sink::server(&format!("job-{id}"), &format!("worker panicked: {message}"));
             inner.jobs.fail(id, format!("worker panicked: {message}"));
             inner.panic_streak.fetch_add(1, Ordering::SeqCst);
@@ -1467,12 +1452,5 @@ mod tests {
         let values: std::collections::BTreeSet<u64> =
             (0..32).map(|i| retry_jitter(&format!("req-{i}"))).collect();
         assert_eq!(values.len(), 3, "{values:?}");
-    }
-
-    #[test]
-    fn panic_messages_extract_both_payload_shapes() {
-        assert_eq!(panic_message(Box::new("boom")), "boom");
-        assert_eq!(panic_message(Box::new("boom".to_owned())), "boom");
-        assert_eq!(panic_message(Box::new(42u8)), "panic of unknown type");
     }
 }

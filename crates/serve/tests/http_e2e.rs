@@ -835,11 +835,25 @@ fn debug_endpoints_expose_recorder_and_aging() {
 
 #[test]
 fn metrics_split_by_endpoint_and_status_class() {
+    const CHEAP_REQUESTS: u64 = 3;
     let ts = TestServer::default_start();
-    assert_eq!(roundtrip(ts.addr, "GET", "/healthz", None).status, 200);
+    for _ in 0..CHEAP_REQUESTS {
+        assert_eq!(roundtrip(ts.addr, "GET", "/healthz", None).status, 200);
+        assert_eq!(roundtrip(ts.addr, "GET", "/metrics", None).status, 200);
+    }
     assert_eq!(
         roundtrip(ts.addr, "POST", "/v1/analyze", Some("broken")).status,
         400
+    );
+    // One job through the full pipeline, so `analyze` also holds a 2xx
+    // and `jobs` holds at least the terminal poll.
+    let id = {
+        let _guard = submit_lock();
+        submit(ts.addr, "/v1/analyze", "{}")
+    };
+    assert_eq!(
+        await_job(ts.addr, id).get("status").unwrap().as_str(),
+        Some("done")
     );
     let scrape = roundtrip(ts.addr, "GET", "/metrics", None);
     assert_eq!(scrape.status, 200);
@@ -854,6 +868,7 @@ fn metrics_split_by_endpoint_and_status_class() {
     );
     for series in [
         "nvp_http_requests_total{endpoint=\"healthz\",status=\"2xx\"}",
+        "nvp_http_requests_total{endpoint=\"analyze\",status=\"2xx\"}",
         "nvp_http_requests_total{endpoint=\"analyze\",status=\"4xx\"}",
         "nvp_http_request_nanos_bucket{endpoint=\"healthz\",le=",
         "nvp_http_request_nanos_count{endpoint=\"healthz\"}",
@@ -869,21 +884,48 @@ fn metrics_split_by_endpoint_and_status_class() {
         1,
         "TYPE line must appear exactly once per metric name"
     );
-    // Cumulative bucket counts are monotone for every labeled series.
-    for endpoint in ["healthz", "metrics", "analyze"] {
-        let prefix = format!("nvp_http_request_nanos_bucket{{endpoint=\"{endpoint}\",le=");
-        let mut last = 0.0_f64;
-        let mut buckets = 0;
-        for line in scrape.body.lines().filter(|l| l.starts_with(&prefix)) {
-            let value: f64 = line.rsplit(' ').next().unwrap().parse().unwrap();
+    // Per endpoint, the cumulative buckets are monotone, count every
+    // request made, and imply sane quantiles: a non-zero median service
+    // time and p50 <= p99.
+    for (endpoint, made) in [
+        ("healthz", CHEAP_REQUESTS),
+        ("metrics", CHEAP_REQUESTS),
+        ("analyze", 2),
+        ("jobs", 1),
+    ] {
+        let prefix = format!("nvp_http_request_nanos_bucket{{endpoint=\"{endpoint}\",le=\"");
+        let buckets: Vec<(f64, u64)> = scrape
+            .body
+            .lines()
+            .filter_map(|l| l.strip_prefix(&prefix))
+            .map(|rest| {
+                let (le, cumulative) = rest.split_once("\"} ").unwrap();
+                (le.parse().unwrap(), cumulative.parse().unwrap())
+            })
+            .collect();
+        assert!(
+            buckets.len() > 1,
+            "no bucket series for endpoint {endpoint}"
+        );
+        for pair in buckets.windows(2) {
             assert!(
-                value >= last,
-                "bucket counts regressed for {endpoint}: {line}"
+                pair[1].1 >= pair[0].1,
+                "bucket counts regressed for {endpoint}: {buckets:?}"
             );
-            last = value;
-            buckets += 1;
         }
-        assert!(buckets > 1, "no bucket series for endpoint {endpoint}");
+        // The last bucket is `+Inf`, i.e. the sample count.
+        let count = buckets[buckets.len() - 1].1;
+        assert!(
+            count >= made,
+            "endpoint {endpoint}: {count} samples, expected at least {made}"
+        );
+        let quantile = |q: f64| {
+            let target = (q * count as f64).ceil() as u64;
+            buckets.iter().find(|(_, c)| *c >= target).unwrap().0
+        };
+        let (p50, p99) = (quantile(0.5), quantile(0.99));
+        assert!(p50 > 0.0, "endpoint {endpoint}: zero p50 service time");
+        assert!(p50 <= p99, "endpoint {endpoint}: p50 {p50} above p99 {p99}");
     }
 }
 
