@@ -17,12 +17,6 @@ const DEGRADED: u8 = 2;
 const REJUVENATE: u8 = 75;
 
 fn main() -> ExitCode {
-    // With fault injection compiled in, `NVP_FAULT_INJECT=mode@site[:skip
-    // [:hits]]` arms a deterministic fault for the whole run; the guard must
-    // live until exit.
-    #[cfg(feature = "fault-inject")]
-    let _fault_guard = nvp_numerics::fault::arm_from_env();
-
     let args: Vec<String> = std::env::args().skip(1).collect();
     let stdout = std::io::stdout();
     let mut out = stdout.lock();

@@ -293,9 +293,11 @@ impl<'a> Args<'a> {
     }
 }
 
-/// Builds the analysis engine used by `analyze` and `sweep`: the Monte
-/// Carlo fallback hook is always installed (it only runs when the analytic
-/// pipeline fails), and an optional wall-clock budget is applied.
+/// Builds the analysis engine used by `analyze`, `sweep` and `serve`: the
+/// Monte Carlo fallback hook is always installed (it only runs when the
+/// analytic pipeline fails), and an optional wall-clock budget is applied.
+/// With fault injection compiled in, the engine is armed with the
+/// `NVP_FAULT_INJECT` plan.
 ///
 /// An explicit `--jobs N` also raises the process-wide worker-pool capacity
 /// so the request can actually be met on machines with fewer cores (the
@@ -321,7 +323,30 @@ fn resilient_engine(
         })?;
         engine = engine.with_store(store);
     }
+    #[cfg(feature = "fault-inject")]
+    if let Some(plan) = env_fault_plan()? {
+        engine = engine.with_faults(plan);
+    }
     Ok(engine)
+}
+
+/// The `NVP_FAULT_INJECT=mode@site[:skip[:hits]]` plan, if set: armed once
+/// per process, so every engine built here (serve's swap-mode rebuilds too)
+/// shares one call counter. A malformed value is an error.
+#[cfg(feature = "fault-inject")]
+fn env_fault_plan() -> Result<Option<nvp_numerics::fault::ArmedPlan>> {
+    use nvp_numerics::fault::{ArmedPlan, FaultPlan};
+    use std::sync::OnceLock;
+    static PLAN: OnceLock<std::result::Result<Option<ArmedPlan>, String>> = OnceLock::new();
+    PLAN.get_or_init(|| match std::env::var("NVP_FAULT_INJECT") {
+        Ok(spec) => spec
+            .parse::<FaultPlan>()
+            .map(|plan| Some(plan.arm()))
+            .map_err(|e| format!("NVP_FAULT_INJECT: {e}")),
+        Err(_) => Ok(None),
+    })
+    .clone()
+    .map_err(|message| CliError { message })
 }
 
 /// Resolves the persistent solve-store directory: an explicit `--cache-dir`
@@ -1212,54 +1237,6 @@ mod tests {
         // Values must parse.
         assert!(run_to_string(&["analyze", "--budget-ms", "soon"]).is_err());
         assert!(run_to_string(&["sweep", "--max-markings", "-3"]).is_err());
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn injected_solver_failure_degrades_instead_of_erroring() {
-        use nvp_numerics::fault::{arm, FaultMode, FaultPlan, Site};
-
-        let _guard = arm(FaultPlan::new(Site::Any, FaultMode::ConvergenceFailure));
-        let (status, text) = run_full(&["analyze", "--stats"]).unwrap();
-        assert_eq!(status, RunStatus::Degraded);
-        assert!(text.contains("WARNING: degraded result"), "{text}");
-        assert!(text.contains("monte-carlo fallback"), "{text}");
-        assert!(text.contains("resilience"), "{text}");
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn no_injected_fault_mode_panics_the_cli() {
-        use nvp_numerics::fault::{arm, FaultMode, FaultPlan, Site};
-
-        for mode in [
-            FaultMode::ConvergenceFailure,
-            FaultMode::NanPoison,
-            FaultMode::IterationExhaustion,
-        ] {
-            for site in [Site::DenseStationary, Site::PowerIteration, Site::Any] {
-                let _guard = arm(FaultPlan::new(site, mode));
-                // Either a clean degraded answer or a typed error — never a
-                // panic and never a silently wrong success without warning.
-                match run_full(&["analyze"]) {
-                    Ok((RunStatus::Degraded, text)) => {
-                        assert!(text.contains("WARNING"), "{mode:?}@{site:?}: {text}");
-                    }
-                    Ok((RunStatus::Success, text)) => {
-                        // A fault at an unexercised site (e.g. power
-                        // iteration when the dense backend is chosen) leaves
-                        // the answer healthy.
-                        assert!(text.contains("E[R_sys]"), "{mode:?}@{site:?}: {text}");
-                    }
-                    Err(e) => {
-                        assert!(!e.message.is_empty(), "{mode:?}@{site:?}");
-                    }
-                    Ok((RunStatus::Rejuvenate, text)) => {
-                        panic!("analyze cannot rejuvenate: {mode:?}@{site:?}: {text}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -63,10 +63,27 @@ fn no_env_armed_fault_mode_crashes_the_binary() {
                 .env("NVP_FAULT_INJECT", format!("{mode}@{site}{window}"))
                 .output()
                 .expect("spawn nvp");
-            // 0 (fault site not exercised), 1 (typed error), or 2
-            // (degraded) — anything else (signal, 101 panic) is a bug.
-            let code = output.status.code();
-            assert!(matches!(code, Some(0..=2)), "{mode}@{site}: {output:?}");
+            // 0 (fault site not exercised, a healthy answer), 1 (typed
+            // error), or 2 (degraded, with a warning) — anything else
+            // (signal, 101 panic) is a bug, and so is a degraded answer
+            // without its WARNING.
+            let stdout = String::from_utf8_lossy(&output.stdout);
+            match output.status.code() {
+                Some(0) => assert!(stdout.contains("E[R_sys]"), "{mode}@{site}: {stdout}"),
+                Some(1) => {}
+                Some(2) => assert!(stdout.contains("WARNING"), "{mode}@{site}: {stdout}"),
+                _ => panic!("{mode}@{site}: {output:?}"),
+            }
         }
     }
+    // A malformed plan is a hard failure naming the variable, not a run
+    // that silently injects nothing.
+    let output = nvp()
+        .arg("analyze")
+        .env("NVP_FAULT_INJECT", "panic@dnse")
+        .output()
+        .expect("spawn nvp");
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("NVP_FAULT_INJECT"), "{stderr}");
 }

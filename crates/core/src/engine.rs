@@ -791,6 +791,9 @@ pub struct AnalysisEngine {
     /// budget, set by [`AnalysisEngine::cancel_inflight`] when a draining
     /// daemon's deadline passes.
     cancel: Arc<AtomicBool>,
+    /// See [`AnalysisEngine::with_faults`].
+    #[cfg(feature = "fault-inject")]
+    faults: Option<nvp_numerics::fault::ArmedPlan>,
 }
 
 impl Default for AnalysisEngine {
@@ -832,6 +835,8 @@ impl Default for AnalysisEngine {
             max_cache_bytes: None,
             cache_clock: AtomicU64::new(0),
             cancel: Arc::new(AtomicBool::new(false)),
+            #[cfg(feature = "fault-inject")]
+            faults: None,
         }
     }
 }
@@ -952,6 +957,22 @@ impl AnalysisEngine {
     pub fn with_max_cache_bytes(mut self, bytes: u64) -> Self {
         self.max_cache_bytes = Some(bytes);
         self
+    }
+
+    /// Returns this engine injecting faults per `plan`: every solve budget
+    /// it makes (primary, fallback, retry) carries the plan and the store
+    /// sites consult it, so it fires in this engine's work and nowhere else.
+    #[cfg(feature = "fault-inject")]
+    pub fn with_faults(mut self, plan: nvp_numerics::fault::ArmedPlan) -> Self {
+        self.faults = Some(plan);
+        self
+    }
+
+    /// The fault to inject at `site` per this engine's plan, or `None`; for
+    /// sites outside its solves, like the serve daemon's job entry.
+    #[cfg(feature = "fault-inject")]
+    pub fn fault(&self, site: nvp_numerics::fault::Site) -> Option<nvp_numerics::fault::FaultMode> {
+        self.faults.as_ref()?.fault(site)
     }
 
     /// Requests cooperative cancellation of every in-flight (and future)
@@ -1133,7 +1154,7 @@ impl AnalysisEngine {
         let key_bytes = key_bytes?;
         let mut span = nvp_obs::span("store.load");
         #[cfg(feature = "fault-inject")]
-        match nvp_numerics::fault::check(nvp_numerics::fault::Site::StoreRead) {
+        match self.fault(nvp_numerics::fault::Site::StoreRead) {
             Some(nvp_numerics::fault::FaultMode::Io) => {
                 // A failed read degrades to a miss.
                 self.store_misses.inc();
@@ -1243,7 +1264,7 @@ impl AnalysisEngine {
         };
         let _span = nvp_obs::span("store.save");
         #[cfg(feature = "fault-inject")]
-        match nvp_numerics::fault::check(nvp_numerics::fault::Site::StoreWrite) {
+        match self.fault(nvp_numerics::fault::Site::StoreWrite) {
             Some(nvp_numerics::fault::FaultMode::Io) => {
                 self.store_write_failures.inc();
                 nvp_obs::event_with("store_write_failed", || {
@@ -1935,6 +1956,13 @@ impl AnalysisEngine {
             (Some(ms), None) | (None, Some(ms)) => SolveBudget::with_wall_clock_ms(ms),
             (None, None) => SolveBudget::unlimited(),
         };
+        // Every engine budget is made here, so the engine's fault plan
+        // reaches every row, fallback and retry.
+        #[cfg(feature = "fault-inject")]
+        let budget = match &self.faults {
+            Some(plan) => budget.with_faults(plan.clone()),
+            None => budget,
+        };
         // Every solve watches the engine-wide drain flag, so a daemon past
         // its drain deadline can reclaim workers without knowing which
         // budgets are in flight.
@@ -2147,6 +2175,14 @@ impl AnalysisEngine {
 mod tests {
     use super::*;
     use crate::analysis;
+    #[cfg(feature = "fault-inject")]
+    use nvp_numerics::fault::{ArmedPlan, FaultMode, FaultPlan, Site};
+
+    /// A plan faulting the first `hits` calls at `site`, armed.
+    #[cfg(feature = "fault-inject")]
+    fn plan(site: Site, mode: FaultMode, hits: usize) -> ArmedPlan {
+        FaultPlan::new(site, mode).times(hits).arm()
+    }
 
     /// A sweep with the default backend and no observer.
     fn sweep(
@@ -2470,16 +2506,17 @@ mod tests {
     #[cfg(feature = "fault-inject")]
     #[test]
     fn dense_failure_falls_back_to_the_alternate_backend() {
-        use nvp_numerics::fault::{arm, FaultMode, FaultPlan, Site};
         let params = SystemParams::paper_six_version();
         let healthy = AnalysisEngine::new()
             .expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)
             .unwrap();
-        let engine = AnalysisEngine::new();
         // Only the first dense solve faults: the primary fails, the
         // alternate (iterative) backend answers.
-        let guard =
-            arm(FaultPlan::new(Site::DenseStationary, FaultMode::ConvergenceFailure).times(1));
+        let engine = AnalysisEngine::new().with_faults(plan(
+            Site::DenseStationary,
+            FaultMode::ConvergenceFailure,
+            1,
+        ));
         let report = engine
             .analyze(
                 &params,
@@ -2488,7 +2525,6 @@ mod tests {
                 SolverBackend::Auto,
             )
             .unwrap();
-        drop(guard);
         let d = report.degraded.as_ref().expect("degraded report");
         assert_eq!(d.method, DegradedMethod::AlternateBackend);
         assert_eq!(d.reliability_half_width, 0.0, "analytic: no sampling error");
@@ -2509,8 +2545,37 @@ mod tests {
 
     #[cfg(feature = "fault-inject")]
     #[test]
+    fn an_armed_engine_leaves_a_concurrent_engine_untouched() {
+        let params = SystemParams::paper_six_version();
+        let solve = |engine: &AnalysisEngine| {
+            engine.expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)
+        };
+        let healthy = solve(&AnalysisEngine::new()).unwrap();
+        let armed = AnalysisEngine::new()
+            .with_faults(FaultPlan::new(Site::Any, FaultMode::ConvergenceFailure).arm());
+        let clean = AnalysisEngine::new();
+        let done = AtomicBool::new(false);
+        let answer = std::thread::scope(|scope| {
+            // Failures are not cached, so the armed engine re-solves (and
+            // fails) for as long as the clean engine solves beside it.
+            scope.spawn(|| loop {
+                assert!(solve(&armed).is_err());
+                if done.load(Ordering::Relaxed) {
+                    break;
+                }
+            });
+            let answer = solve(&clean);
+            done.store(true, Ordering::Relaxed);
+            answer
+        });
+        assert_eq!(answer.unwrap().to_bits(), healthy.to_bits());
+        assert_eq!(clean.stats().degraded_solutions, 0);
+        assert!(armed.stats().fallbacks_taken >= 1);
+    }
+
+    #[cfg(feature = "fault-inject")]
+    #[test]
     fn total_solver_failure_falls_back_to_monte_carlo() {
-        use nvp_numerics::fault::{arm, FaultMode, FaultPlan, Site};
         let params = SystemParams::paper_six_version();
         // Capture the healthy distribution first, then use it as a stub
         // Monte Carlo answer (core cannot depend on the real simulator).
@@ -2526,8 +2591,9 @@ mod tests {
                 unmatched: 0.0,
             })
         });
-        let engine = AnalysisEngine::new().with_monte_carlo(hook);
-        let guard = arm(FaultPlan::new(Site::Any, FaultMode::ConvergenceFailure));
+        let engine = AnalysisEngine::new()
+            .with_monte_carlo(hook)
+            .with_faults(FaultPlan::new(Site::Any, FaultMode::ConvergenceFailure).arm());
         let report = engine
             .analyze(
                 &params,
@@ -2536,7 +2602,6 @@ mod tests {
                 SolverBackend::Auto,
             )
             .unwrap();
-        drop(guard);
         let d = report.degraded.as_ref().expect("degraded report");
         assert_eq!(d.method, DegradedMethod::MonteCarlo);
         assert!(
@@ -2554,13 +2619,11 @@ mod tests {
     #[cfg(feature = "fault-inject")]
     #[test]
     fn without_a_hook_total_failure_reports_the_primary_error() {
-        use nvp_numerics::fault::{arm, FaultMode, FaultPlan, Site};
-        let engine = AnalysisEngine::new();
-        let guard = arm(FaultPlan::new(Site::Any, FaultMode::IterationExhaustion));
+        let engine = AnalysisEngine::new()
+            .with_faults(FaultPlan::new(Site::Any, FaultMode::IterationExhaustion).arm());
         let err = engine
             .chain(&SystemParams::paper_six_version(), SolverBackend::Auto)
             .unwrap_err();
-        drop(guard);
         assert!(
             matches!(
                 err,
@@ -2575,17 +2638,15 @@ mod tests {
     #[cfg(feature = "fault-inject")]
     #[test]
     fn nan_poisoning_is_caught_and_recovered_at_every_site() {
-        use nvp_numerics::fault::{arm, FaultMode, FaultPlan, Site};
         let params = SystemParams::paper_six_version();
         let healthy = AnalysisEngine::new()
             .expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)
             .unwrap();
-        let engine = AnalysisEngine::new();
-        let guard = arm(FaultPlan::new(Site::DenseStationary, FaultMode::NanPoison).times(1));
+        let engine =
+            AnalysisEngine::new().with_faults(plan(Site::DenseStationary, FaultMode::NanPoison, 1));
         let r = engine
             .expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)
             .unwrap();
-        drop(guard);
         assert!((r - healthy).abs() < 1e-6, "{r} vs {healthy}");
         assert_eq!(engine.stats().degraded_solutions, 1);
     }
@@ -2593,7 +2654,6 @@ mod tests {
     #[cfg(feature = "fault-inject")]
     #[test]
     fn an_injected_panic_degrades_one_grid_point_not_the_sweep() {
-        use nvp_numerics::fault::{arm, FaultMode, FaultPlan, Site};
         let params = SystemParams::paper_six_version();
         let grid = [0.0, 0.3, 0.6];
         let healthy = sweep(
@@ -2605,10 +2665,10 @@ mod tests {
         .unwrap();
         // The first dense stationary solve panics; only that grid point
         // falls back to the alternate backend, the sweep itself completes.
-        let engine = AnalysisEngine::new().with_jobs(Jobs::Fixed(1));
-        let guard = arm(FaultPlan::new(Site::DenseStationary, FaultMode::Panic).times(1));
+        let engine = AnalysisEngine::new()
+            .with_jobs(Jobs::Fixed(1))
+            .with_faults(plan(Site::DenseStationary, FaultMode::Panic, 1));
         let swept = sweep(&engine, &params, ParamAxis::Alpha, &grid).unwrap();
-        drop(guard);
         assert_eq!(swept.len(), grid.len());
         for ((x, y), (hx, hy)) in swept.iter().zip(&healthy) {
             assert_eq!(x.to_bits(), hx.to_bits());
@@ -2624,7 +2684,6 @@ mod tests {
     #[cfg(feature = "fault-inject")]
     #[test]
     fn a_persistent_panic_is_retried_at_the_point_level() {
-        use nvp_numerics::fault::{arm, FaultMode, FaultPlan, Site};
         let params = SystemParams::paper_six_version();
         let healthy = AnalysisEngine::new()
             .with_jobs(Jobs::Fixed(1))
@@ -2636,10 +2695,9 @@ mod tests {
         // sees a healthy solver.
         let engine = AnalysisEngine::new()
             .with_jobs(Jobs::Fixed(1))
-            .with_retries(1);
-        let guard = arm(FaultPlan::new(Site::SubordinatedTransient, FaultMode::Panic).times(2));
+            .with_retries(1)
+            .with_faults(plan(Site::SubordinatedTransient, FaultMode::Panic, 2));
         let swept = sweep(&engine, &params, ParamAxis::Alpha, &[params.alpha]).unwrap();
-        drop(guard);
         assert_eq!(swept.len(), 1);
         assert!(
             (swept[0].1 - healthy).abs() < 1e-9,
@@ -2655,7 +2713,6 @@ mod tests {
     #[cfg(feature = "fault-inject")]
     #[test]
     fn the_watchdog_rejuvenates_a_stalled_point() {
-        use nvp_numerics::fault::{arm, FaultMode, FaultPlan, Site};
         let params = SystemParams::paper_six_version();
         // Every subordinated transient stalls 50 ms against a 10 ms point
         // deadline: the watchdog cancels the lease, the budget check after
@@ -2664,13 +2721,9 @@ mod tests {
         let engine = AnalysisEngine::new()
             .with_jobs(Jobs::Fixed(1))
             .with_point_deadline_ms(10)
-            .with_retries(1);
-        let guard = arm(FaultPlan::new(
-            Site::SubordinatedTransient,
-            FaultMode::Stall,
-        ));
+            .with_retries(1)
+            .with_faults(FaultPlan::new(Site::SubordinatedTransient, FaultMode::Stall).arm());
         let err = sweep(&engine, &params, ParamAxis::Alpha, &[params.alpha]).unwrap_err();
-        drop(guard);
         assert!(
             matches!(
                 err,
@@ -3179,18 +3232,17 @@ mod tests {
     #[cfg(feature = "fault-inject")]
     #[test]
     fn injected_store_write_failure_degrades_to_a_skipped_save() {
-        use nvp_numerics::fault::{arm, FaultMode, FaultPlan, Site};
         let store = store_in("io-write");
         let params = SystemParams::paper_six_version();
         let reference = AnalysisEngine::new()
             .expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)
             .unwrap();
-        let engine = AnalysisEngine::new().with_store(store.clone());
-        let guard = arm(FaultPlan::new(Site::StoreWrite, FaultMode::Io).times(1));
+        let engine = AnalysisEngine::new()
+            .with_store(store.clone())
+            .with_faults(plan(Site::StoreWrite, FaultMode::Io, 1));
         let r = engine
             .expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)
             .unwrap();
-        drop(guard);
         assert_eq!(r.to_bits(), reference.to_bits(), "the solve proceeded");
         let stats = engine.stats();
         assert_eq!(stats.store_write_failures, 1);
@@ -3206,7 +3258,6 @@ mod tests {
     #[cfg(feature = "fault-inject")]
     #[test]
     fn injected_store_read_corruption_exercises_the_quarantine_path() {
-        use nvp_numerics::fault::{arm, FaultMode, FaultPlan, Site};
         let store = store_in("corrupt-read");
         let params = SystemParams::paper_six_version();
         let reference = AnalysisEngine::new()
@@ -3217,12 +3268,12 @@ mod tests {
             .chain(&params, SolverBackend::Auto)
             .unwrap();
 
-        let engine = AnalysisEngine::new().with_store(store.clone());
-        let guard = arm(FaultPlan::new(Site::StoreRead, FaultMode::Corrupt).times(1));
+        let engine = AnalysisEngine::new()
+            .with_store(store.clone())
+            .with_faults(plan(Site::StoreRead, FaultMode::Corrupt, 1));
         let r = engine
             .expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)
             .unwrap();
-        drop(guard);
         assert_eq!(r.to_bits(), reference.to_bits(), "never a wrong number");
         let stats = engine.stats();
         assert_eq!(

@@ -4,6 +4,8 @@ use crate::{MrgpError, Result};
 use nvp_numerics::budget::SolveBudget;
 use nvp_numerics::ctmc::Ctmc;
 use nvp_numerics::dtmc::stationary_distribution_with;
+#[cfg(feature = "fault-inject")]
+use nvp_numerics::fault::{solver_fault, Site};
 use nvp_numerics::guard::{
     guard_probability_vector, DENSE_RENORMALIZATION_LIMIT, ESTIMATE_RENORMALIZATION_LIMIT,
 };
@@ -570,8 +572,7 @@ fn solve_classes(
         stats.workers_used = 1;
         let mut out = Vec::with_capacity(reps.len());
         for &i in reps {
-            options.budget.check("subordinated chain solve")?;
-            out.push(class_solution_isolated(&chains[i], stats)?);
+            out.push(class_solution_isolated(&chains[i], &options.budget, stats)?);
         }
         Ok(out)
     };
@@ -606,11 +607,7 @@ fn solve_classes(
             if cancel.load(Ordering::Relaxed) {
                 continue;
             }
-            let sol = options
-                .budget
-                .check("subordinated chain solve")
-                .map_err(MrgpError::from)
-                .and_then(|()| class_solution_isolated(&chains[i], &mut local));
+            let sol = class_solution_isolated(&chains[i], &options.budget, &mut local);
             if sol.is_err() {
                 cancel.store(true, Ordering::Relaxed);
             }
@@ -858,17 +855,26 @@ fn build_subordinated(
 /// per-row isolation: a panic inside one class's shared solve becomes
 /// [`MrgpError::WorkerPanicked`] for that class — failing the solve with a
 /// typed error — instead of unwinding through `std::thread::scope` and
-/// aborting the whole process.
+/// aborting the whole process. `budget` is checked before the solve starts,
+/// and carries the `SubordinatedTransient` fault plan.
 fn class_solution_isolated(
     chain: &SubordinatedChain,
+    budget: &SolveBudget,
     stats: &mut MrgpStats,
 ) -> Result<ClassSolution> {
+    budget.check("subordinated chain solve")?;
     // One span per class solve, opened on the thread that runs it, so a
     // trace shows which worker handled which equivalence class.
     let mut span = nvp_obs::span("mrgp.class");
     span.record("representative", chain.k);
     span.record("states", chain.sub.n_states());
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        #[cfg(feature = "fault-inject")]
+        if solver_fault(budget, Site::SubordinatedTransient, 0)? {
+            let mut poisoned = class_solution(chain, stats)?;
+            poisoned.at_tau[0] = f64::NAN;
+            return Ok(poisoned);
+        }
         class_solution(chain, stats)
     }))
     .unwrap_or_else(|payload| {
@@ -956,6 +962,8 @@ fn assemble_row(
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(feature = "fault-inject")]
+    use nvp_numerics::fault::{FaultMode, FaultPlan};
     use nvp_petri::expr::Expr;
     use nvp_petri::net::{NetBuilder, PetriNet, TransitionKind};
     use nvp_petri::reach::explore;
@@ -1131,6 +1139,17 @@ mod tests {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
+    /// `options` with a plan armed on its budget that fails every class
+    /// solve with `mode`.
+    #[cfg(feature = "fault-inject")]
+    fn with_fault(options: &SolveOptions, mode: FaultMode) -> SolveOptions {
+        let plan = FaultPlan::new(Site::SubordinatedTransient, mode).arm();
+        SolveOptions {
+            budget: options.budget.clone().with_faults(plan),
+            ..options.clone()
+        }
+    }
+
     /// A net whose every tangible marking enables the always-on reset clock
     /// (like the paper's rejuvenation clock): `tokens` drift A → B one at a
     /// time, the clock flushes B back to A every `tau`. All `tokens + 1`
@@ -1284,7 +1303,6 @@ mod tests {
     #[cfg(feature = "fault-inject")]
     #[test]
     fn injected_panic_in_shared_class_solve_is_isolated() {
-        use nvp_numerics::fault::{arm, FaultMode, FaultPlan, Site};
         let _lock = pool_test_lock();
         let pool = WorkerPool::global();
         pool.set_capacity(pool.capacity().max(4));
@@ -1294,19 +1312,13 @@ mod tests {
             jobs: Jobs::Fixed(4),
             ..SolveOptions::default()
         };
-        {
-            let _guard = arm(FaultPlan::new(
-                Site::SubordinatedTransient,
-                FaultMode::Panic,
-            ));
-            match steady_state_with_options(&graph, &opts) {
-                Err(MrgpError::WorkerPanicked { site, .. }) => {
-                    assert_eq!(site, "subordinated class solve");
-                }
-                other => panic!("expected WorkerPanicked, got {other:?}"),
+        match steady_state_with_options(&graph, &with_fault(&opts, FaultMode::Panic)) {
+            Err(MrgpError::WorkerPanicked { site, .. }) => {
+                assert_eq!(site, "subordinated class solve");
             }
+            other => panic!("expected WorkerPanicked, got {other:?}"),
         }
-        // Disarmed, the exact same options solve cleanly: the panic was
+        // Without the plan, the same options solve cleanly: the panic was
         // contained to the one class solve, not the process.
         let (sol, stats) = steady_state_with_options(&graph, &opts).unwrap();
         assert_eq!(stats.worker_panics, 0);
@@ -1419,7 +1431,6 @@ mod tests {
     #[cfg(feature = "fault-inject")]
     #[test]
     fn injected_faults_on_worker_threads_abort_cleanly() {
-        use nvp_numerics::fault::{arm, FaultMode, FaultPlan, Site};
         let _lock = pool_test_lock();
         let pool = WorkerPool::global();
         pool.set_capacity(pool.capacity().max(4));
@@ -1433,31 +1444,20 @@ mod tests {
         // The SubordinatedTransient site fires inside the row solves, i.e.
         // on the worker threads. A convergence fault cancels the remaining
         // rows and surfaces as a typed error...
-        {
-            let _guard = arm(FaultPlan::new(
-                Site::SubordinatedTransient,
-                FaultMode::ConvergenceFailure,
-            ));
-            let err = steady_state_with_options(&graph, &opts).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    MrgpError::Numerics(nvp_numerics::NumericsError::NoConvergence { .. })
-                ),
-                "{err:?}"
-            );
-        }
+        let faulted = with_fault(&opts, FaultMode::ConvergenceFailure);
+        let err = steady_state_with_options(&graph, &faulted).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                MrgpError::Numerics(nvp_numerics::NumericsError::NoConvergence { .. })
+            ),
+            "{err:?}"
+        );
         // ...and a NaN-poisoned transient vector is caught downstream
         // instead of leaking into the steady state.
-        {
-            let _guard = arm(FaultPlan::new(
-                Site::SubordinatedTransient,
-                FaultMode::NanPoison,
-            ));
-            let result = steady_state_with_options(&graph, &opts);
-            assert!(result.is_err(), "poisoned solve succeeded: {result:?}");
-        }
-        // Disarmed again, the same options answer the healthy result.
+        let result = steady_state_with_options(&graph, &with_fault(&opts, FaultMode::NanPoison));
+        assert!(result.is_err(), "poisoned solve succeeded: {result:?}");
+        // Without a plan, the same options answer the healthy result.
         let (after, _) = steady_state_with_options(&graph, &opts).unwrap();
         assert_eq!(healthy, after);
     }
@@ -1909,8 +1909,6 @@ mod tests {
     #[cfg(feature = "fault-inject")]
     #[test]
     fn injected_row_panic_becomes_a_typed_error() {
-        use nvp_numerics::fault::{arm, FaultMode, FaultPlan, Site};
-
         let mut b = NetBuilder::new("race");
         let a = b.place("A", 1);
         let c = b.place("B", 0);
@@ -1930,14 +1928,13 @@ mod tests {
         let graph = explore(&net, 100).unwrap();
 
         for jobs in [Jobs::Fixed(1), Jobs::Auto] {
-            let _guard = arm(FaultPlan::new(
-                Site::SubordinatedTransient,
+            let options = with_fault(
+                &SolveOptions {
+                    jobs,
+                    ..SolveOptions::default()
+                },
                 FaultMode::Panic,
-            ));
-            let options = SolveOptions {
-                jobs,
-                ..SolveOptions::default()
-            };
+            );
             match steady_state_with_options(&graph, &options) {
                 Err(MrgpError::WorkerPanicked { site, payload }) => {
                     // The transient solve now runs once per structural

@@ -43,6 +43,7 @@ use crate::{NumericsError, Result};
 /// several flags from independent supervisors (a point-lease watchdog *and*
 /// an engine-wide drain, say); any one of them set means cancelled. Cloning
 /// the budget shares the same flags.
+/// With `fault-inject`, a budget can also carry a fault plan (`with_faults`).
 #[derive(Debug, Clone, Default)]
 pub struct SolveBudget {
     /// Wall-clock instant after which [`check`](Self::check) fails.
@@ -55,6 +56,9 @@ pub struct SolveBudget {
     /// Cooperative cancellation flags set by supervisors; any one set
     /// cancels the solve.
     cancel: Vec<Arc<AtomicBool>>,
+    /// Fault plan consulted by the solver sites this budget reaches.
+    #[cfg(feature = "fault-inject")]
+    faults: Option<crate::fault::ArmedPlan>,
 }
 
 impl SolveBudget {
@@ -72,8 +76,7 @@ impl SolveBudget {
         SolveBudget {
             deadline: Some(Instant::now() + Duration::from_millis(ms)),
             budget_ms: ms,
-            max_iterations: None,
-            cancel: Vec::new(),
+            ..SolveBudget::default()
         }
     }
 
@@ -91,6 +94,21 @@ impl SolveBudget {
     pub fn with_cancel(mut self, flag: Arc<AtomicBool>) -> Self {
         self.cancel.push(flag);
         self
+    }
+
+    /// Returns this budget carrying `plan`, which every solver site the
+    /// budget reaches consults through [`fault`](Self::fault).
+    #[cfg(feature = "fault-inject")]
+    pub fn with_faults(mut self, plan: crate::fault::ArmedPlan) -> Self {
+        self.faults = Some(plan);
+        self
+    }
+
+    /// The fault to inject at `site` per this budget's plan (see
+    /// [`crate::fault::ArmedPlan::fault`]), or `None` without a plan.
+    #[cfg(feature = "fault-inject")]
+    pub fn fault(&self, site: crate::fault::Site) -> Option<crate::fault::FaultMode> {
+        self.faults.as_ref()?.fault(site)
     }
 
     /// `true` if no deadline, iteration cap, or cancellation flag is set.

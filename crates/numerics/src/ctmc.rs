@@ -220,7 +220,7 @@ impl Ctmc {
             .backend
             .unwrap_or_else(|| stationary_backend_for(self.n));
         match backend {
-            StationaryBackend::Dense => self.steady_state_dense(),
+            StationaryBackend::Dense => self.steady_state_dense(options),
             StationaryBackend::IterativePower => {
                 let (p, _) = self.uniformize();
                 stationary_power_with(
@@ -233,22 +233,12 @@ impl Ctmc {
         }
     }
 
-    fn steady_state_dense(&self) -> Result<Vec<f64>> {
+    /// Dense LU solve; of `options`, only the budget's fault plan applies.
+    #[cfg_attr(not(feature = "fault-inject"), allow(unused_variables))]
+    fn steady_state_dense(&self, options: &StationaryOptions) -> Result<Vec<f64>> {
         #[cfg(feature = "fault-inject")]
-        let poison = match crate::fault::intercept(crate::fault::Site::DenseStationary) {
-            Some(crate::fault::FaultMode::ConvergenceFailure) => {
-                return Err(NumericsError::SingularMatrix { pivot: 0 });
-            }
-            Some(crate::fault::FaultMode::IterationExhaustion) => {
-                return Err(NumericsError::NoConvergence {
-                    iterations: 0,
-                    residual: f64::INFINITY,
-                });
-            }
-            Some(crate::fault::FaultMode::NanPoison) => true,
-            // Panic and Stall are handled inside `intercept` and never returned.
-            _ => false,
-        };
+        let poison =
+            crate::fault::solver_fault(&options.budget, crate::fault::Site::DenseStationary, 0)?;
         // Solve Qᵀ π = 0 with the last equation replaced by Σ π = 1.
         let n = self.n;
         let mut a = DenseMatrix::zeros(n, n);
@@ -299,22 +289,10 @@ impl Ctmc {
         epsilon: f64,
     ) -> Result<(Vec<f64>, TransientStats)> {
         self.check_transient_args(pi0, t)?;
-        #[cfg(feature = "fault-inject")]
-        let poison = self.transient_fault_poison()?;
         if t == 0.0 {
             return Ok((pi0.to_vec(), TransientStats::default()));
         }
         let (at_t, _, stats) = self.uniformized_series(pi0, t, epsilon, false)?;
-        #[cfg(feature = "fault-inject")]
-        let at_t = {
-            let mut at_t = at_t;
-            if poison {
-                if let Some(first) = at_t.first_mut() {
-                    *first = f64::NAN;
-                }
-            }
-            at_t
-        };
         Ok((at_t, stats))
     }
 
@@ -335,23 +313,10 @@ impl Ctmc {
         epsilon: f64,
     ) -> Result<(Vec<f64>, Vec<f64>, TransientStats)> {
         self.check_transient_args(pi0, t)?;
-        #[cfg(feature = "fault-inject")]
-        let poison = self.transient_fault_poison()?;
         if t == 0.0 {
             return Ok((pi0.to_vec(), vec![0.0; self.n], TransientStats::default()));
         }
-        let (at_t, sojourn, stats) = self.uniformized_series(pi0, t, epsilon, true)?;
-        #[cfg(feature = "fault-inject")]
-        let at_t = {
-            let mut at_t = at_t;
-            if poison {
-                if let Some(first) = at_t.first_mut() {
-                    *first = f64::NAN;
-                }
-            }
-            at_t
-        };
-        Ok((at_t, sojourn, stats))
+        self.uniformized_series(pi0, t, epsilon, true)
     }
 
     /// Computes the expected sojourn times `L(t) = ∫₀ᵗ π(s) ds` by
@@ -429,24 +394,6 @@ impl Ctmc {
             stationary_at,
         };
         Ok((at_t, sojourn, stats))
-    }
-
-    /// Evaluates the fault-injection intercept shared by the transient entry
-    /// points; returns whether the result should be NaN-poisoned.
-    #[cfg(feature = "fault-inject")]
-    fn transient_fault_poison(&self) -> Result<bool> {
-        match crate::fault::intercept(crate::fault::Site::SubordinatedTransient) {
-            Some(crate::fault::FaultMode::ConvergenceFailure)
-            | Some(crate::fault::FaultMode::IterationExhaustion) => {
-                Err(NumericsError::NoConvergence {
-                    iterations: 0,
-                    residual: f64::INFINITY,
-                })
-            }
-            Some(crate::fault::FaultMode::NanPoison) => Ok(true),
-            // Panic and Stall are handled inside `intercept` and never returned.
-            _ => Ok(false),
-        }
     }
 
     fn check_transient_args(&self, pi0: &[f64], t: f64) -> Result<()> {

@@ -102,7 +102,7 @@ pub fn stationary_distribution_with(
     }
     let backend = options.backend.unwrap_or_else(|| stationary_backend_for(n));
     match backend {
-        StationaryBackend::Dense => stationary_dense(p),
+        StationaryBackend::Dense => stationary_dense(p, options),
         StationaryBackend::IterativePower => stationary_power_with(
             p,
             options.tolerance,
@@ -112,22 +112,12 @@ pub fn stationary_distribution_with(
     }
 }
 
-fn stationary_dense(p: &CsrMatrix) -> Result<Vec<f64>> {
+/// Dense LU solve; of `options`, only the budget's fault plan applies.
+#[cfg_attr(not(feature = "fault-inject"), allow(unused_variables))]
+fn stationary_dense(p: &CsrMatrix, options: &StationaryOptions) -> Result<Vec<f64>> {
     #[cfg(feature = "fault-inject")]
-    let poison = match crate::fault::intercept(crate::fault::Site::DenseStationary) {
-        Some(crate::fault::FaultMode::ConvergenceFailure) => {
-            return Err(NumericsError::SingularMatrix { pivot: 0 });
-        }
-        Some(crate::fault::FaultMode::IterationExhaustion) => {
-            return Err(NumericsError::NoConvergence {
-                iterations: 0,
-                residual: f64::INFINITY,
-            });
-        }
-        Some(crate::fault::FaultMode::NanPoison) => true,
-        // Panic and Stall are handled inside `intercept` and never returned.
-        _ => false,
-    };
+    let poison =
+        crate::fault::solver_fault(&options.budget, crate::fault::Site::DenseStationary, 0)?;
     // Solve (Pᵀ - I) ν = 0 with the last equation replaced by Σ ν = 1.
     let n = p.rows();
     let mut a = DenseMatrix::zeros(n, n);
@@ -158,6 +148,8 @@ fn stationary_dense(p: &CsrMatrix) -> Result<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(feature = "fault-inject")]
+    use crate::fault::{FaultMode, FaultPlan, Site};
     use crate::sparse::CsrBuilder;
 
     #[test]
@@ -245,36 +237,45 @@ mod tests {
     #[cfg(feature = "fault-inject")]
     #[test]
     fn injected_nan_is_caught_by_the_guard() {
-        use crate::fault::{arm, FaultMode, FaultPlan, Site};
         let mut b = CsrBuilder::new(2, 2);
         b.push(0, 0, 0.9);
         b.push(0, 1, 0.1);
         b.push(1, 0, 0.5);
         b.push(1, 1, 0.5);
         let p = b.build();
-        let _guard = arm(FaultPlan::new(Site::DenseStationary, FaultMode::NanPoison).times(1));
+        let opts = faulted(FaultPlan::new(Site::DenseStationary, FaultMode::NanPoison).times(1));
         assert!(matches!(
-            stationary_distribution(&p),
+            stationary_distribution_with(&p, &opts),
             Err(NumericsError::InvalidProbabilities { .. })
         ));
         // The plan's single hit is spent; the next solve succeeds.
+        assert!(stationary_distribution_with(&p, &opts).is_ok());
+        // A solve without the plan never saw it.
         assert!(stationary_distribution(&p).is_ok());
     }
 
     #[cfg(feature = "fault-inject")]
     #[test]
     fn injected_convergence_failure_is_typed() {
-        use crate::fault::{arm, FaultMode, FaultPlan, Site};
         let mut b = CsrBuilder::new(2, 2);
         b.push(0, 0, 0.5);
         b.push(0, 1, 0.5);
         b.push(1, 0, 0.5);
         b.push(1, 1, 0.5);
         let p = b.build();
-        let _guard = arm(FaultPlan::new(Site::Any, FaultMode::ConvergenceFailure).times(1));
+        let opts = faulted(FaultPlan::new(Site::Any, FaultMode::ConvergenceFailure).times(1));
         assert!(matches!(
-            stationary_distribution(&p),
+            stationary_distribution_with(&p, &opts),
             Err(NumericsError::SingularMatrix { .. })
         ));
+    }
+
+    /// Default stationary options whose budget carries `plan`.
+    #[cfg(feature = "fault-inject")]
+    fn faulted(plan: FaultPlan) -> StationaryOptions {
+        StationaryOptions {
+            budget: crate::SolveBudget::unlimited().with_faults(plan.arm()),
+            ..StationaryOptions::default()
+        }
     }
 }

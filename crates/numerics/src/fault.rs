@@ -17,22 +17,33 @@
 //! * [`FaultMode::Stall`] — the site sleeps for [`STALL_MS`] milliseconds and
 //!   then proceeds normally, exercising the worker-rejuvenation watchdog.
 //!
-//! A plan is armed process-globally with [`arm`]; the returned [`FaultGuard`]
-//! disarms it on drop and also holds a process-wide lock so concurrently
-//! running `#[test]`s that inject faults serialize instead of trampling each
-//! other's plans. Standalone binaries (the `nvp` CLI) can arm a plan from
-//! the `NVP_FAULT_INJECT` environment variable via [`arm_from_env`].
+//! A plan travels with the work it targets, like a cancellation flag:
+//! [`FaultPlan::arm`] makes an [`ArmedPlan`] (clones share one call
+//! counter), [`SolveBudget::with_faults`] attaches it to a budget, and the
+//! solver sites that budget reaches ask [`SolveBudget::fault`]. An engine
+//! armed with `nvp-core`'s `AnalysisEngine::with_faults` attaches it to every
+//! budget it makes, so the plan never fires in unrelated work beside it.
+//! The `nvp` binary reads its plan from `NVP_FAULT_INJECT` ([`FromStr`]).
 //!
 //! # Example
 //!
 //! ```
-//! use nvp_numerics::fault::{arm, FaultMode, FaultPlan, Site};
+//! use nvp_numerics::fault::{FaultMode, FaultPlan, Site};
+//! use nvp_numerics::SolveBudget;
 //!
-//! let _guard = arm(FaultPlan::new(Site::Any, FaultMode::ConvergenceFailure));
-//! // ... every stationary solve now fails until `_guard` is dropped ...
+//! let plan = FaultPlan::new(Site::DenseStationary, FaultMode::ConvergenceFailure).times(1);
+//! let budget = SolveBudget::unlimited().with_faults(plan.arm());
+//! assert_eq!(budget.fault(Site::PowerIteration), None); // not counted
+//! assert_eq!(budget.fault(Site::DenseStationary), Some(FaultMode::ConvergenceFailure));
+//! assert_eq!(budget.fault(Site::DenseStationary), None); // the one hit is spent
+//! assert_eq!(SolveBudget::unlimited().fault(Site::DenseStationary), None);
 //! ```
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::str::FromStr;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use crate::{NumericsError, Result, SolveBudget};
 
 /// How an intercepted solver call should fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,13 +55,13 @@ pub enum FaultMode {
     NanPoison,
     /// Fail as if the full iteration budget was spent without converging.
     IterationExhaustion,
-    /// Panic on the calling (worker) thread. [`intercept`] itself raises the
-    /// panic, so sites never observe this variant; the supervision layer
-    /// upstream must catch it.
+    /// Panic on the calling (worker) thread. [`ArmedPlan::fault`] itself
+    /// raises the panic, so sites never observe this variant; the
+    /// supervision layer upstream must catch it.
     Panic,
     /// Sleep for [`STALL_MS`] milliseconds, then proceed normally. Handled
-    /// inside [`intercept`] (sites never observe this variant); used to make
-    /// a solve overstay a watchdog deadline deterministically.
+    /// inside [`ArmedPlan::fault`] (sites never observe this variant); used
+    /// to make a solve overstay a watchdog deadline deterministically.
     Stall,
     /// Fail the site's I/O operation (persistent-store read or write). The
     /// engine must degrade the operation to a cache miss / skipped save,
@@ -73,8 +84,9 @@ pub enum Site {
     DenseStationary,
     /// Damped power iteration (`sparse::stationary_power`).
     PowerIteration,
-    /// Uniformized transient solves (`ctmc::Ctmc::transient`) — the
-    /// subordinated-chain work the MRGP row stage runs on worker threads.
+    /// The MRGP row stage's subordinated-chain transient solves (one per
+    /// structural class, in `nvp-mrgp`) — the work that runs on worker
+    /// threads.
     SubordinatedTransient,
     /// Persistent solve-store record writes (the engine's save path).
     StoreWrite,
@@ -125,65 +137,32 @@ impl FaultPlan {
         self.hits = hits;
         self
     }
-}
 
-struct Active {
-    plan: FaultPlan,
-    calls: usize,
-}
-
-static ACTIVE: Mutex<Option<Active>> = Mutex::new(None);
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn active() -> MutexGuard<'static, Option<Active>> {
-    ACTIVE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Keeps a fault plan armed; dropping it disarms the plan and releases the
-/// process-wide serialization lock taken by [`arm`].
-#[must_use = "the plan is disarmed as soon as the guard is dropped"]
-pub struct FaultGuard {
-    _serial: MutexGuard<'static, ()>,
-}
-
-impl std::fmt::Debug for FaultGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultGuard").finish_non_exhaustive()
+    /// Arms this plan: returns the handle solver sites consult. Clones of
+    /// the handle share one call counter, so the `skip`/`hits` window spans
+    /// every budget and engine holding it.
+    pub fn arm(self) -> ArmedPlan {
+        ArmedPlan {
+            plan: self,
+            calls: Arc::new(AtomicUsize::new(0)),
+        }
     }
 }
 
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        *active() = None;
+/// The `NVP_FAULT_INJECT` grammar: `mode@site[:skip[:hits]]` with modes
+/// `noconverge`, `nan`, `exhaust`, `panic`, `stall`, `io`, `corrupt` and
+/// sites `dense`, `power`, `transient`, `store-write`, `store-read`,
+/// `serve-job`, `any`; `skip` and `hits` default to `0` and unlimited.
+/// Examples: `noconverge@any`, `nan@dense:1:2`, `panic@transient:0:1`,
+/// `io@store-write`, `corrupt@store-read:0:1`.
+impl FromStr for FaultPlan {
+    type Err = String;
+
+    fn from_str(spec: &str) -> std::result::Result<Self, String> {
+        parse_plan(spec).ok_or_else(|| {
+            format!("`{spec}` is not a fault plan (expected mode@site[:skip[:hits]])")
+        })
     }
-}
-
-/// Arms `plan` process-globally and returns a guard that disarms it on drop.
-///
-/// Blocks until any previously armed plan's guard has been dropped, so
-/// concurrent fault-injecting tests serialize.
-pub fn arm(plan: FaultPlan) -> FaultGuard {
-    let serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-    *active() = Some(Active { plan, calls: 0 });
-    FaultGuard { _serial: serial }
-}
-
-/// Arms a plan described by the `NVP_FAULT_INJECT` environment variable, if
-/// set. Intended for the `nvp` binary so integration tests can inject faults
-/// across a process boundary.
-///
-/// Format: `mode@site[:skip[:hits]]` with modes `noconverge`, `nan`,
-/// `exhaust`, `panic`, `stall`, `io`, `corrupt` and sites `dense`, `power`,
-/// `transient`, `store-write`, `store-read`, `serve-job`, `any`; `skip` and
-/// `hits`
-/// default to `0` and unlimited. Examples: `noconverge@any`, `nan@dense:1:2`,
-/// `panic@transient:0:1`, `io@store-write`, `corrupt@store-read:0:1`.
-///
-/// Returns `None` (arming nothing) when the variable is unset or malformed.
-pub fn arm_from_env() -> Option<FaultGuard> {
-    let spec = std::env::var("NVP_FAULT_INJECT").ok()?;
-    let plan = parse_plan(&spec)?;
-    Some(arm(plan))
 }
 
 fn parse_plan(spec: &str) -> Option<FaultPlan> {
@@ -225,53 +204,71 @@ fn parse_plan(spec: &str) -> Option<FaultPlan> {
     })
 }
 
-/// Called by solver entry points: returns the failure mode to inject at this
-/// call, or `None` to proceed normally.
-///
-/// [`FaultMode::Panic`] and [`FaultMode::Stall`] are handled here — a panic
-/// is raised (after releasing the plan lock) and a stall sleeps for
-/// [`STALL_MS`] before proceeding — so sites only ever observe the three
-/// error-shaped modes.
-pub(crate) fn intercept(site: Site) -> Option<FaultMode> {
-    let mode = {
-        let mut guard = active();
-        let active = guard.as_mut()?;
-        if active.plan.site != Site::Any && active.plan.site != site {
+/// An armed [`FaultPlan`]: the plan plus the count of matching calls seen
+/// so far, shared by every clone. Built by [`FaultPlan::arm`].
+#[derive(Debug, Clone)]
+pub struct ArmedPlan {
+    plan: FaultPlan,
+    calls: Arc<AtomicUsize>,
+}
+
+impl ArmedPlan {
+    /// Called by an interception site: returns the failure mode to inject
+    /// at this call, or `None` to proceed normally.
+    ///
+    /// [`FaultMode::Panic`] and [`FaultMode::Stall`] are handled here — a
+    /// panic is raised and a stall sleeps for [`STALL_MS`] before
+    /// proceeding — so sites only ever observe the error-shaped modes.
+    pub fn fault(&self, site: Site) -> Option<FaultMode> {
+        if self.plan.site != Site::Any && self.plan.site != site {
             return None;
         }
-        let index = active.calls;
-        active.calls += 1;
-        let lo = active.plan.skip;
-        let hi = lo.saturating_add(active.plan.hits);
-        if index >= lo && index < hi {
-            active.plan.mode
-        } else {
+        let index = self.calls.fetch_add(1, Ordering::Relaxed);
+        if index < self.plan.skip || index - self.plan.skip >= self.plan.hits {
             return None;
         }
-    };
-    nvp_obs::trace::event_with("fault_injected", || {
-        vec![
-            ("site", format!("{site:?}").into()),
-            ("mode", format!("{mode:?}").into()),
-        ]
-    });
-    match mode {
-        FaultMode::Panic => panic!("fault-inject: injected panic at {site:?}"),
-        FaultMode::Stall => {
-            std::thread::sleep(std::time::Duration::from_millis(STALL_MS));
-            None
+        let mode = self.plan.mode;
+        nvp_obs::trace::event_with("fault_injected", || {
+            vec![
+                ("site", format!("{site:?}").into()),
+                ("mode", format!("{mode:?}").into()),
+            ]
+        });
+        match mode {
+            FaultMode::Panic => panic!("fault-inject: injected panic at {site:?}"),
+            FaultMode::Stall => {
+                std::thread::sleep(std::time::Duration::from_millis(STALL_MS));
+                None
+            }
+            other => Some(other),
         }
-        other => Some(other),
     }
 }
 
-/// Public interception point for sites that live outside this crate (the
-/// persistent solve-store hooks in `nvp-core`). Identical semantics to the
-/// crate-internal solver sites: returns the failure mode to inject at this
-/// call, or `None` to proceed normally; `Panic` and `Stall` are handled
-/// internally.
-pub fn check(site: Site) -> Option<FaultMode> {
-    intercept(site)
+/// Resolves `budget`'s plan at a numeric solver site: a
+/// [`FaultMode::ConvergenceFailure`] fails as that site's solver would (a
+/// singular matrix for the dense LU, no convergence elsewhere), a
+/// [`FaultMode::IterationExhaustion`] fails with no convergence after
+/// `iterations`, and a [`FaultMode::NanPoison`] returns `Ok(true)`: the
+/// site poisons its result before the probability guard runs.
+///
+/// # Errors
+///
+/// The injected failure, as described above.
+pub fn solver_fault(budget: &SolveBudget, site: Site, iterations: usize) -> Result<bool> {
+    let no_convergence = |iterations| NumericsError::NoConvergence {
+        iterations,
+        residual: f64::INFINITY,
+    };
+    match budget.fault(site) {
+        Some(FaultMode::ConvergenceFailure) if site == Site::DenseStationary => {
+            Err(NumericsError::SingularMatrix { pivot: 0 })
+        }
+        Some(FaultMode::ConvergenceFailure) => Err(no_convergence(0)),
+        Some(FaultMode::IterationExhaustion) => Err(no_convergence(iterations)),
+        Some(FaultMode::NanPoison) => Ok(true),
+        _ => Ok(false),
+    }
 }
 
 #[cfg(test)]
@@ -279,138 +276,129 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disarmed_by_default() {
-        let _serial = arm(FaultPlan::new(Site::Any, FaultMode::NanPoison).times(0));
-        assert_eq!(intercept(Site::DenseStationary), None);
+    fn a_plan_with_no_hits_never_fires() {
+        let plan = FaultPlan::new(Site::Any, FaultMode::NanPoison)
+            .times(0)
+            .arm();
+        assert_eq!(plan.fault(Site::DenseStationary), None);
     }
 
     #[test]
     fn skip_and_hits_window_is_respected() {
-        let _guard = arm(
-            FaultPlan::new(Site::PowerIteration, FaultMode::ConvergenceFailure)
-                .after(1)
-                .times(2),
-        );
-        assert_eq!(intercept(Site::PowerIteration), None);
+        let plan = FaultPlan::new(Site::PowerIteration, FaultMode::ConvergenceFailure)
+            .after(1)
+            .times(2)
+            .arm();
+        assert_eq!(plan.fault(Site::PowerIteration), None);
         assert_eq!(
-            intercept(Site::PowerIteration),
+            plan.fault(Site::PowerIteration),
             Some(FaultMode::ConvergenceFailure)
         );
         assert_eq!(
-            intercept(Site::PowerIteration),
+            plan.fault(Site::PowerIteration),
             Some(FaultMode::ConvergenceFailure)
         );
-        assert_eq!(intercept(Site::PowerIteration), None);
+        assert_eq!(plan.fault(Site::PowerIteration), None);
     }
 
     #[test]
     fn site_filter_only_counts_matching_calls() {
-        let _guard = arm(FaultPlan::new(Site::DenseStationary, FaultMode::NanPoison).times(1));
-        assert_eq!(intercept(Site::PowerIteration), None);
-        assert_eq!(intercept(Site::DenseStationary), Some(FaultMode::NanPoison));
-        assert_eq!(intercept(Site::DenseStationary), None);
+        let plan = FaultPlan::new(Site::DenseStationary, FaultMode::NanPoison)
+            .times(1)
+            .arm();
+        assert_eq!(plan.fault(Site::PowerIteration), None);
+        assert_eq!(
+            plan.fault(Site::DenseStationary),
+            Some(FaultMode::NanPoison)
+        );
+        assert_eq!(plan.fault(Site::DenseStationary), None);
     }
 
     #[test]
-    fn dropping_the_guard_disarms() {
-        {
-            let _guard = arm(FaultPlan::new(Site::Any, FaultMode::IterationExhaustion));
-            assert!(intercept(Site::DenseStationary).is_some());
+    fn clones_share_the_call_counter_and_separate_arms_do_not() {
+        let plan = FaultPlan::new(Site::Any, FaultMode::IterationExhaustion).times(1);
+        let armed = plan.arm();
+        let clone = armed.clone();
+        assert!(armed.fault(Site::DenseStationary).is_some());
+        // The clone sees the hit its sibling consumed...
+        assert_eq!(clone.fault(Site::DenseStationary), None);
+        // ...while a second arming of the same plan counts from zero.
+        assert!(plan.arm().fault(Site::DenseStationary).is_some());
+    }
+
+    #[test]
+    fn env_spec_parses_every_mode_site_and_window() {
+        use FaultMode::*;
+        let plan = FaultPlan::new;
+        for (spec, expected) in [
+            ("noconverge@any", plan(Site::Any, ConvergenceFailure)),
+            (
+                "nan@dense:1:2",
+                plan(Site::DenseStationary, NanPoison).after(1).times(2),
+            ),
+            (
+                "exhaust@power:3",
+                plan(Site::PowerIteration, IterationExhaustion).after(3),
+            ),
+            (
+                "panic@transient:0:1",
+                plan(Site::SubordinatedTransient, Panic).times(1),
+            ),
+            ("stall@any", plan(Site::Any, Stall)),
+            ("io@store-write", plan(Site::StoreWrite, Io)),
+            (
+                "corrupt@store-read:0:1",
+                plan(Site::StoreRead, Corrupt).times(1),
+            ),
+            ("panic@serve-job", plan(Site::ServeJob, Panic)),
+        ] {
+            assert_eq!(spec.parse(), Ok(expected), "{spec}");
         }
-        let _serial = arm(FaultPlan::new(Site::Any, FaultMode::NanPoison).times(0));
-        assert_eq!(intercept(Site::DenseStationary), None);
+        for spec in [
+            "bogus@any",
+            "nan@nowhere",
+            "nan",
+            "io@store",
+            "panic@dnse",
+            "nan@dense:x",
+        ] {
+            let err = spec.parse::<FaultPlan>().unwrap_err();
+            assert!(err.contains(spec), "{err}");
+        }
     }
 
     #[test]
-    fn env_spec_parses_all_fields() {
-        assert_eq!(
-            parse_plan("noconverge@any"),
-            Some(FaultPlan::new(Site::Any, FaultMode::ConvergenceFailure))
-        );
-        assert_eq!(
-            parse_plan("nan@dense:1:2"),
-            Some(
-                FaultPlan::new(Site::DenseStationary, FaultMode::NanPoison)
-                    .after(1)
-                    .times(2)
-            )
-        );
-        assert_eq!(
-            parse_plan("exhaust@power:3"),
-            Some(FaultPlan::new(Site::PowerIteration, FaultMode::IterationExhaustion).after(3))
-        );
-        assert_eq!(
-            parse_plan("nan@transient"),
-            Some(FaultPlan::new(
-                Site::SubordinatedTransient,
-                FaultMode::NanPoison
-            ))
-        );
-        assert_eq!(parse_plan("bogus@any"), None);
-        assert_eq!(parse_plan("nan@nowhere"), None);
-        assert_eq!(parse_plan("nan"), None);
-    }
-
-    #[test]
-    fn env_spec_parses_panic_and_stall_modes() {
-        assert_eq!(
-            parse_plan("panic@transient:0:1"),
-            Some(
-                FaultPlan::new(Site::SubordinatedTransient, FaultMode::Panic)
-                    .after(0)
-                    .times(1)
-            )
-        );
-        assert_eq!(
-            parse_plan("stall@any"),
-            Some(FaultPlan::new(Site::Any, FaultMode::Stall))
-        );
-    }
-
-    #[test]
-    fn env_spec_parses_store_sites_and_modes() {
-        assert_eq!(
-            parse_plan("io@store-write"),
-            Some(FaultPlan::new(Site::StoreWrite, FaultMode::Io))
-        );
-        assert_eq!(
-            parse_plan("corrupt@store-read:0:1"),
-            Some(
-                FaultPlan::new(Site::StoreRead, FaultMode::Corrupt)
-                    .after(0)
-                    .times(1)
-            )
-        );
-        assert_eq!(parse_plan("io@store"), None);
-    }
-
-    #[test]
-    fn store_sites_are_reachable_through_the_public_check() {
-        let _guard = arm(FaultPlan::new(Site::StoreWrite, FaultMode::Io).times(1));
+    fn store_sites_count_separately() {
+        let plan = FaultPlan::new(Site::StoreWrite, FaultMode::Io)
+            .times(1)
+            .arm();
         // A store-read call must not consume the store-write plan.
-        assert_eq!(check(Site::StoreRead), None);
-        assert_eq!(check(Site::StoreWrite), Some(FaultMode::Io));
-        assert_eq!(check(Site::StoreWrite), None);
+        assert_eq!(plan.fault(Site::StoreRead), None);
+        assert_eq!(plan.fault(Site::StoreWrite), Some(FaultMode::Io));
+        assert_eq!(plan.fault(Site::StoreWrite), None);
     }
 
     #[test]
-    fn panic_mode_panics_inside_intercept_without_poisoning_the_plan() {
-        let _guard = arm(FaultPlan::new(Site::DenseStationary, FaultMode::Panic).times(1));
-        let unwound = std::panic::catch_unwind(|| intercept(Site::DenseStationary));
+    fn panic_mode_panics_inside_fault_and_consumes_its_hit() {
+        let plan = FaultPlan::new(Site::DenseStationary, FaultMode::Panic)
+            .times(1)
+            .arm();
+        let unwound = std::panic::catch_unwind(|| plan.fault(Site::DenseStationary));
         assert!(unwound.is_err());
-        // The plan lock was released before panicking and the single hit was
-        // consumed, so subsequent calls proceed normally.
-        assert_eq!(intercept(Site::DenseStationary), None);
+        // The single hit was consumed, so subsequent calls proceed normally.
+        assert_eq!(plan.fault(Site::DenseStationary), None);
     }
 
     #[test]
     fn stall_mode_sleeps_then_proceeds() {
-        let _guard = arm(FaultPlan::new(Site::PowerIteration, FaultMode::Stall).times(1));
+        let plan = FaultPlan::new(Site::PowerIteration, FaultMode::Stall)
+            .times(1)
+            .arm();
         let start = std::time::Instant::now();
-        assert_eq!(intercept(Site::PowerIteration), None);
+        assert_eq!(plan.fault(Site::PowerIteration), None);
         assert!(start.elapsed() >= std::time::Duration::from_millis(STALL_MS));
         let start = std::time::Instant::now();
-        assert_eq!(intercept(Site::PowerIteration), None);
+        assert_eq!(plan.fault(Site::PowerIteration), None);
         assert!(start.elapsed() < std::time::Duration::from_millis(STALL_MS));
     }
 }

@@ -289,23 +289,7 @@ pub fn stationary_power_with(
     }
     budget.check("power iteration")?;
     #[cfg(feature = "fault-inject")]
-    let poison = match crate::fault::intercept(crate::fault::Site::PowerIteration) {
-        Some(crate::fault::FaultMode::ConvergenceFailure) => {
-            return Err(NumericsError::NoConvergence {
-                iterations: 0,
-                residual: f64::INFINITY,
-            });
-        }
-        Some(crate::fault::FaultMode::IterationExhaustion) => {
-            return Err(NumericsError::NoConvergence {
-                iterations: max_iter,
-                residual: f64::INFINITY,
-            });
-        }
-        Some(crate::fault::FaultMode::NanPoison) => true,
-        // Panic and Stall are handled inside `intercept` and never returned.
-        _ => false,
-    };
+    let poison = crate::fault::solver_fault(budget, crate::fault::Site::PowerIteration, max_iter)?;
     let mut pi = vec![1.0 / n as f64; n];
     #[cfg(feature = "fault-inject")]
     if poison {

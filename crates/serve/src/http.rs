@@ -280,8 +280,11 @@ pub fn write_response(stream: &mut dyn Write, response: &Response, close: bool) 
     } else {
         "connection: keep-alive\r\n\r\n"
     });
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
+    // One write: a client sees the whole reply or none of it, even when the
+    // process exits right after (as a drained daemon does).
+    let mut reply = head.into_bytes();
+    reply.extend_from_slice(&response.body);
+    stream.write_all(&reply)?;
     stream.flush()
 }
 

@@ -1214,20 +1214,20 @@ fn execute_job(
     id: JobId,
     spec: &JobSpec,
 ) -> Result<JobOutcome, nvp_core::CoreError> {
-    // Chaos hook for the flight-recorder drill: unlike the engine-level
-    // sites (whose panics the supervisor absorbs into degraded points),
-    // a panic here unwinds the whole worker — the path the recorder's
-    // "panic" trigger exists for.
+    // One engine for the whole job: a rejuvenation swap mid-job must not
+    // split a sweep across two engines.
+    let engine = inner.engine();
+    // Chaos hook for the flight-recorder drill, armed by the job's engine:
+    // unlike the engine-level sites (whose panics the supervisor absorbs
+    // into degraded points), a panic here unwinds the whole worker — the
+    // path the recorder's "panic" trigger exists for.
     #[cfg(feature = "fault-inject")]
-    if let Some(mode) = nvp_numerics::fault::check(nvp_numerics::fault::Site::ServeJob) {
+    if let Some(mode) = engine.fault(nvp_numerics::fault::Site::ServeJob) {
         return Err(nvp_core::CoreError::WorkerPanicked {
             site: "serve-job (fault-inject)",
             payload: format!("injected {mode:?}"),
         });
     }
-    // One engine for the whole job: a rejuvenation swap mid-job must not
-    // split a sweep across two engines.
-    let engine = inner.engine();
     match spec {
         JobSpec::Analyze(spec) => {
             // The job-level watchdog: a job without its own budget gets

@@ -748,23 +748,22 @@ fn rejuvenation_writes_checker_passing_flight_dumps() {
 #[cfg(feature = "fault-inject")]
 #[test]
 fn a_job_panic_writes_a_flight_dump_naming_the_job() {
-    use nvp_numerics::fault::{arm, FaultMode, FaultPlan, Site};
+    use nvp_numerics::fault::{FaultMode, FaultPlan, Site};
     let dir = temp_store("flight-panic");
+    // One injected panic at the serve-job site, armed on this server's
+    // engine only: the worker unwinds (the engine's own supervisor never
+    // sees it), the job fails, the daemon survives, and the black box hits
+    // the disk.
+    let plan = FaultPlan::new(Site::ServeJob, FaultMode::Panic).times(1);
     let ts = TestServer::start(
-        AnalysisEngine::new(),
+        AnalysisEngine::new().with_faults(plan.arm()),
         ServeConfig {
             flight_dir: Some(dir.clone()),
             ..ServeConfig::default()
         },
     );
     let _guard = submit_lock();
-    // One injected panic at the serve-job site: the worker unwinds (the
-    // engine's own supervisor never sees it), the job fails, the daemon
-    // survives, and the black box hits the disk.
-    let id = {
-        let _fault = arm(FaultPlan::new(Site::ServeJob, FaultMode::Panic).times(1));
-        submit(ts.addr, "/v1/analyze", "{}")
-    };
+    let id = submit(ts.addr, "/v1/analyze", "{}");
     let doc = await_job(ts.addr, id);
     assert_eq!(doc.get("status").unwrap().as_str(), Some("failed"));
     assert!(

@@ -93,7 +93,7 @@ fn injected_total_solver_failure_degrades_to_a_consistent_estimate() {
     use nvp_perception::core::params::SystemParams;
     use nvp_perception::core::reliability::ReliabilitySource;
     use nvp_perception::core::reward::RewardPolicy;
-    use nvp_perception::numerics::fault::{arm, FaultMode, FaultPlan, Site};
+    use nvp_perception::numerics::fault::{FaultMode, FaultPlan, Site};
     use nvp_perception::sim::fallback::monte_carlo_hook;
 
     let params = SystemParams::paper_four_version();
@@ -107,13 +107,14 @@ fn injected_total_solver_failure_degrades_to_a_consistent_estimate() {
         .expect("healthy analysis");
     assert!(healthy.degraded.is_none());
 
-    let engine = AnalysisEngine::new().with_monte_carlo(monte_carlo_hook(SimOptions {
-        horizon: 400_000.0,
-        warmup: 4_000.0,
-        seed: 99,
-        batches: 20,
-    }));
-    let _guard = arm(FaultPlan::new(Site::Any, FaultMode::ConvergenceFailure));
+    let engine = AnalysisEngine::new()
+        .with_monte_carlo(monte_carlo_hook(SimOptions {
+            horizon: 400_000.0,
+            warmup: 4_000.0,
+            seed: 99,
+            batches: 20,
+        }))
+        .with_faults(FaultPlan::new(Site::Any, FaultMode::ConvergenceFailure).arm());
     let report = engine
         .analyze(
             &params,

@@ -97,7 +97,7 @@ mod panic_storm {
     use nvp_perception::core::engine::AnalysisEngine;
     use nvp_perception::core::params::SystemParams;
     use nvp_perception::core::reward::RewardPolicy;
-    use nvp_perception::numerics::fault::{arm, FaultMode, FaultPlan, Site};
+    use nvp_perception::numerics::fault::{FaultMode, FaultPlan, Site};
     use nvp_perception::sim::dspn::SimOptions;
     use nvp_perception::sim::fallback::monte_carlo_hook;
 
@@ -116,9 +116,9 @@ mod panic_storm {
             Site::SubordinatedTransient,
             Site::Any,
         ] {
-            let engine =
-                AnalysisEngine::new().with_monte_carlo(monte_carlo_hook(SimOptions::default()));
-            let guard = arm(FaultPlan::new(site, FaultMode::Panic));
+            let engine = AnalysisEngine::new()
+                .with_monte_carlo(monte_carlo_hook(SimOptions::default()))
+                .with_faults(FaultPlan::new(site, FaultMode::Panic).arm());
             let outcome = engine.sweep_supervised(
                 &params,
                 ParamAxis::RejuvenationInterval,
@@ -127,7 +127,6 @@ mod panic_storm {
                 SolverBackend::Auto,
                 &|_| {},
             );
-            drop(guard);
             match outcome {
                 Ok(points) => {
                     assert_eq!(points.len(), grid.len(), "{site:?}");
@@ -179,9 +178,13 @@ mod panic_storm {
             .unwrap();
         // One panic per grid point (the dense solve of each fresh chain):
         // every point recovers through the iterative alternate backend.
-        let engine =
-            AnalysisEngine::new().with_monte_carlo(monte_carlo_hook(SimOptions::default()));
-        let guard = arm(FaultPlan::new(Site::DenseStationary, FaultMode::Panic).times(grid.len()));
+        let engine = AnalysisEngine::new()
+            .with_monte_carlo(monte_carlo_hook(SimOptions::default()))
+            .with_faults(
+                FaultPlan::new(Site::DenseStationary, FaultMode::Panic)
+                    .times(grid.len())
+                    .arm(),
+            );
         let swept = engine
             .sweep_supervised(
                 &params,
@@ -192,7 +195,6 @@ mod panic_storm {
                 &|_| {},
             )
             .unwrap();
-        drop(guard);
         for ((x, y), (hx, hy)) in swept.iter().zip(&healthy) {
             assert_eq!(x.to_bits(), hx.to_bits());
             assert!((y - hy).abs() < 1e-6, "E[R]({x}) = {y} vs {hy}");
