@@ -28,30 +28,6 @@ pub struct RenderedExperiment {
     pub csv: Vec<(String, String)>,
 }
 
-/// Runs every experiment at the given fidelity, in report order.
-///
-/// # Errors
-///
-/// Propagates the first experiment failure.
-pub fn run_all(fidelity: Fidelity) -> Result<Vec<RenderedExperiment>> {
-    Ok(vec![
-        table2::run()?,
-        headline::run()?,
-        fig3::run(fidelity)?,
-        fig4::run_a(fidelity)?,
-        fig4::run_b(fidelity)?,
-        fig4::run_c(fidelity)?,
-        fig4::run_d(fidelity)?,
-        xval::run(fidelity)?,
-        transient::run(fidelity)?,
-        pipeline::run(fidelity)?,
-        weather::run(fidelity)?,
-        tuning::run(fidelity)?,
-        nsweep::run(fidelity)?,
-        ablations::run(fidelity)?,
-    ])
-}
-
 /// Runs one experiment by id.
 ///
 /// # Errors

@@ -26,6 +26,8 @@
 //! cap); `--resume` against a journal from a different invocation is a hard
 //! error rather than a silently mixed result.
 
+use nvp_store::atomic::write_atomic;
+use nvp_store::record::fnv1a64;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -40,12 +42,7 @@ const VERSION: u32 = 1;
 /// Stable across runs and platforms; collisions are irrelevant at the "did
 /// you point `--resume` at the wrong journal" scale this guards against.
 pub fn fingerprint(description: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in description.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    fnv1a64(description.as_bytes())
 }
 
 /// One completed grid point as recorded in (or replayed from) a journal.
@@ -203,13 +200,6 @@ impl Journal {
         self.file.sync_data()
     }
 }
-
-// Atomic file publication lives in `nvp-store` now (the persistent solve
-// store shares the primitive), with one fix over the version that used to
-// live here: the temp sibling gets a unique `.<pid>.<seq>.tmp` suffix, so
-// two concurrent processes writing the same CSV/journal can no longer
-// clobber each other's in-flight temp file and publish torn bytes.
-pub use nvp_store::atomic::write_atomic;
 
 #[cfg(test)]
 mod tests {
@@ -381,20 +371,5 @@ mod tests {
         std::fs::write(&path, "").unwrap();
         let err = Journal::resume(&path, fp, 3).unwrap_err();
         assert!(err.to_string().contains("no complete header"), "{err}");
-    }
-
-    #[test]
-    fn write_atomic_replaces_contents_and_leaves_no_temp_file() {
-        let dir = temp_dir("atomic");
-        let path = dir.join("out.csv");
-        write_atomic(&path, b"first\n").unwrap();
-        write_atomic(&path, b"second\n").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "second\n");
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name())
-            .filter(|n| n.to_string_lossy().ends_with(".tmp"))
-            .collect();
-        assert!(leftovers.is_empty(), "{leftovers:?}");
     }
 }

@@ -36,6 +36,7 @@ use nvp_obs::progress::SweepProgress;
 use nvp_serve::{RejuvenateMode, ServeConfig, ServeOutcome, Server};
 use nvp_sim::dspn::{simulate_reward, SimOptions};
 use nvp_sim::fallback::monte_carlo_hook;
+use nvp_store::atomic::write_atomic;
 use nvp_store::SolveStore;
 use std::io::Write;
 use std::path::PathBuf;
@@ -665,7 +666,7 @@ fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<RunStatus> {
     let csv = sweep_csv(axis, &points);
     match &out_path {
         Some(path) => {
-            journal::write_atomic(path, csv.as_bytes()).map_err(|e| CliError {
+            write_atomic(path, csv.as_bytes()).map_err(|e| CliError {
                 message: format!("cannot write `{}`: {e}", path.display()),
             })?;
             writeln!(

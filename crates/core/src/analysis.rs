@@ -131,15 +131,6 @@ impl ParamAxis {
         }
     }
 
-    /// `true` when this axis only affects the reward stage: the engine
-    /// resolves a sweep along it with a single chain solve.
-    pub fn is_reward_only(self) -> bool {
-        matches!(
-            self,
-            ParamAxis::Alpha | ParamAxis::HealthyInaccuracy | ParamAxis::CompromisedInaccuracy
-        )
-    }
-
     /// Parses the short axis name used by the CLI and the HTTP API
     /// (`gamma`/`interval`, `mttc`, `mttf`, `mttr`, `alpha`, `p`,
     /// `pprime`/`p-prime`). Returns `None` for unknown names.

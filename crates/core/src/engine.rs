@@ -55,7 +55,7 @@ use nvp_petri::reach::{ExploreStats, TangibleReachGraph};
 use nvp_store::{DegradedRecord, Load, SolveRecord, SolveStore};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -321,9 +321,9 @@ fn degraded_from_record(record: &DegradedRecord) -> Option<DegradedInfo> {
 }
 
 /// The persistable projection of a solved chain. Run-dependent parallelism
-/// counters (`workers_used`, `parallel_rows`, `permit_starvations`,
-/// `worker_panics`) describe the machine the solve ran on, not the
-/// solution, and are deliberately dropped (a warm load reports them as 0).
+/// counters (`workers_used`, `parallel_rows`, `permit_starvations`) describe
+/// the machine the solve ran on, not the solution, and are deliberately
+/// dropped (a warm load reports them as 0).
 fn record_of(solution: &ChainSolution) -> SolveRecord {
     SolveRecord {
         probabilities: solution.solution.probabilities().to_vec(),
@@ -1479,14 +1479,15 @@ impl AnalysisEngine {
     /// `HealthyInaccuracy`, `CompromisedInaccuracy`) reuse a single chain
     /// solution for the entire grid.
     ///
-    /// The points run on workers drawn from the process-wide
-    /// [`WorkerPool`], up to [`AnalysisEngine::with_jobs`], sharing this
-    /// engine's cache; the calling thread always works, so with no permits
-    /// available the sweep runs on it alone. The values are the same bits
-    /// at any worker count. A failing grid point raises a cancellation
-    /// flag: points no worker has started yet are skipped (counted in
-    /// [`SolverStats::sweep_cancellations`]) and the lowest-index recorded
-    /// error is returned instead of solving the rest of a doomed grid.
+    /// The points fan out through [`WorkerPool::run_indexed`] on the
+    /// process-wide pool, up to [`AnalysisEngine::with_jobs`] workers,
+    /// sharing this engine's cache; the calling thread always works, so with
+    /// no permits available the sweep runs on it alone. The values are the
+    /// same bits at any worker count. After a grid point fails, points no
+    /// worker has started yet are skipped (counted in
+    /// [`SolverStats::sweep_cancellations`], serial sweeps included) and the
+    /// lowest-index error is returned instead of solving the rest of a
+    /// doomed grid.
     ///
     /// Each grid point runs as a *supervised* solve: wrapped in
     /// `catch_unwind` (a worker panic costs that point, never the process),
@@ -1541,81 +1542,20 @@ impl AnalysisEngine {
         let _watchdog = self
             .point_deadline_ms
             .map(|ms| pool.start_watchdog(Duration::from_millis((ms / 4).clamp(2, 100))));
-        let solve_point = |idx: usize, value: f64| -> Result<f64> {
-            let p = axis.apply(params, value);
-            let (expected, degraded) =
-                self.solve_point_supervised(&p, policy, backend, budget_ms)?;
+        let run = pool.run_indexed(self.jobs, values.len(), |idx| {
+            let x = values[idx];
+            let p = axis.apply(params, x);
+            let (value, degraded) = self.solve_point_supervised(&p, policy, backend, budget_ms)?;
             observer(SweepPointRecord {
                 index: idx,
-                x: value,
-                value: expected,
+                x,
+                value,
                 degraded,
             });
-            Ok(expected)
-        };
-        let desired = self.jobs.desired_workers(values.len(), pool.capacity());
-        let permits = if desired <= 1 || values.len() <= 1 {
-            None
-        } else {
-            Some(pool.try_acquire(desired - 1))
-        };
-        if permits.as_ref().map_or(0, |p| p.count()) == 0 {
-            // Serial path: same supervision, no worker threads.
-            drop(permits);
-            return values
-                .iter()
-                .enumerate()
-                .map(|(idx, &v)| Ok((v, solve_point(idx, v)?)))
-                .collect();
-        }
-        let permits = permits.expect("checked non-zero above");
-        let results: Vec<Mutex<Option<Result<f64>>>> =
-            values.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let cancel = AtomicBool::new(false);
-        let work = || loop {
-            let idx = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&value) = values.get(idx) else {
-                break;
-            };
-            if cancel.load(Ordering::Relaxed) {
-                self.sweep_cancellations.inc();
-                continue;
-            }
-            let r = solve_point(idx, value);
-            if r.is_err() {
-                cancel.store(true, Ordering::Relaxed);
-            }
-            *results[idx].lock().expect("no panics while holding lock") = Some(r);
-        };
-        std::thread::scope(|scope| {
-            for _ in 0..permits.count() {
-                scope.spawn(work);
-            }
-            work();
+            Ok((x, value))
         });
-        drop(permits);
-        let mut out = Vec::with_capacity(values.len());
-        let mut slots = values.iter().zip(results);
-        for (&x, cell) in &mut slots {
-            match cell.into_inner().expect("lock not poisoned") {
-                Some(Ok(r)) => out.push((x, r)),
-                Some(Err(e)) => return Err(e),
-                // A skipped point: some lower- or higher-index point
-                // recorded the error that raised the cancellation flag.
-                None => break,
-            }
-        }
-        for (_, cell) in slots {
-            if let Some(Err(e)) = cell.into_inner().expect("lock not poisoned") {
-                return Err(e);
-            }
-        }
-        if out.len() == values.len() {
-            Ok(out)
-        } else {
-            unreachable!("a skipped sweep point implies a recorded error")
-        }
+        self.sweep_cancellations.add(run.skipped as u64);
+        run.results
     }
 
     /// One grid point under the supervision policy: panic isolation, a
@@ -2480,6 +2420,21 @@ mod tests {
             grid.len() - 4,
             stats.sweep_cancellations
         );
+    }
+
+    #[test]
+    fn failing_point_cancels_the_serial_sweep() {
+        let engine = AnalysisEngine::new().with_jobs(Jobs::Fixed(1));
+        let params = SystemParams::paper_six_version();
+        // The calling thread alone claims the points in order: the first
+        // fails, and each of the other eleven is skipped and counted.
+        let grid = vec![2.0; 12];
+        let err = sweep(&engine, &params, ParamAxis::Alpha, &grid).unwrap_err();
+        assert!(
+            matches!(err, crate::CoreError::InvalidParameter { .. }),
+            "{err:?}"
+        );
+        assert_eq!(engine.stats().sweep_cancellations, 11);
     }
 
     #[test]

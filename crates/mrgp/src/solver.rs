@@ -2,7 +2,7 @@
 
 use crate::{MrgpError, Result};
 use nvp_numerics::budget::SolveBudget;
-use nvp_numerics::ctmc::Ctmc;
+use nvp_numerics::ctmc::{Ctmc, TransientStats};
 use nvp_numerics::dtmc::stationary_distribution_with;
 #[cfg(feature = "fault-inject")]
 use nvp_numerics::fault::{solver_fault, Site};
@@ -17,8 +17,6 @@ use nvp_numerics::{
 };
 use nvp_petri::reach::TangibleReachGraph;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Truncation accuracy of the uniformization series used for subordinated
 /// chains.
@@ -83,11 +81,6 @@ pub struct MrgpStats {
     /// granted fewer than requested (nested parallelism degrading towards
     /// serial).
     pub permit_starvations: usize,
-    /// Row-stage panics caught by the supervision wrapper and converted to
-    /// [`MrgpError::WorkerPanicked`]. A successful solve always reports 0 —
-    /// any caught panic fails the solve — but the counter survives into the
-    /// stats a caller collects from a failed attempt's partial state.
-    pub worker_panics: usize,
     /// Structural equivalence classes among the subordinated CTMCs — the
     /// number of distinct (delay, transition-structure) fingerprints that
     /// were actually solved. Equals `subordinated_chains` when every chain
@@ -122,10 +115,10 @@ pub struct SolveOptions {
     pub max_iterations: usize,
     /// Worker budget for the subordinated-chain row stage. Every
     /// deterministic marking's row is an independent transient solve, so
-    /// they fan out over threads drawing permits from the process-wide
-    /// [`WorkerPool`]; results are assembled in marking order and are
-    /// bit-identical to the serial path. [`Jobs::Fixed`]`(1)` forces the
-    /// historical strictly serial loop.
+    /// they fan out through [`WorkerPool::run_indexed`] on the process-wide
+    /// pool; results are assembled in marking order and are bit-identical
+    /// at any worker count. [`Jobs::Fixed`]`(1)` runs every solve on the
+    /// calling thread.
     pub jobs: Jobs,
     /// Solve one subordinated CTMC per structural equivalence class and map
     /// the class solution back to every member, instead of solving each
@@ -499,16 +492,15 @@ fn solve_mrgp(
 ///    form one equivalence class — they run the exact same float operations
 ///    when solved, so one solve serves every member bit for bit.
 /// 2. **Class solve** (parallel): one transient/sojourn solve per class
-///    representative. When [`SolveOptions::jobs`] and the process-wide
-///    [`WorkerPool`] allow it, workers claim classes from a shared index;
-///    per-worker counters merge with order-independent operations (sums and
-///    maxes).
+///    representative, fanned out by [`WorkerPool::run_indexed`] as far as
+///    [`SolveOptions::jobs`] and the process-wide pool allow. Each solve
+///    returns its own series diagnostics, folded in class order.
 /// 3. **Assemble** (serial): map each class solution back to its members'
 ///    embedded-chain rows and conversion factors, in marking order — so the
 ///    result is bit-identical however the class solves were scheduled.
 ///
-/// On the first class-solve error the workers stop claiming further classes
-/// (cancellation) and the lowest-index recorded error is returned. Budget
+/// On the first class-solve error the remaining unclaimed classes are
+/// skipped and the lowest-index error is returned. Budget
 /// checks run once per built chain and once per claimed class, exactly like
 /// the historical per-row path.
 fn solve_deterministic_rows(
@@ -546,8 +538,25 @@ fn solve_deterministic_rows(
     stats.dedup_classes += reps.len();
     stats.dedup_hits += chains.len() - reps.len();
 
-    // Phase 2 — one solve per class, fanned out when permitted.
-    let solutions = solve_classes(&chains, &reps, options, stats)?;
+    // Phase 2 — one solve per class, fanned out when permitted. Each solve
+    // reports its own series diagnostics, folded here in class order.
+    let run = WorkerPool::global().run_indexed(options.jobs, reps.len(), |class| {
+        class_solution_isolated(&chains[reps[class]], &options.budget)
+    });
+    stats.workers_used = run.workers;
+    if run.workers > 1 {
+        stats.parallel_rows = chains.len();
+    }
+    if run.starved {
+        stats.permit_starvations += 1;
+    }
+    let solutions = run.results?;
+    for sol in &solutions {
+        stats.max_truncation_steps = stats
+            .max_truncation_steps
+            .max(sol.series.truncation_steps());
+        stats.steady_state_detections += usize::from(sol.series.stationary_at.is_some());
+    }
 
     // Phase 3 — per-member assembly in marking order.
     Ok(chains
@@ -555,96 +564,6 @@ fn solve_deterministic_rows(
         .zip(&class_of)
         .map(|(chain, &class)| assemble_row(graph, chain, &solutions[class]))
         .collect())
-}
-
-/// Runs `class_solution_isolated` for every class representative in `reps`,
-/// returning the solutions in class order. Fans out over
-/// `std::thread::scope` workers claiming classes from a shared index when
-/// the jobs setting and the [`WorkerPool`] allow it; otherwise runs the
-/// strictly serial loop.
-fn solve_classes(
-    chains: &[SubordinatedChain],
-    reps: &[usize],
-    options: &SolveOptions,
-    stats: &mut MrgpStats,
-) -> Result<Vec<ClassSolution>> {
-    let serial = |stats: &mut MrgpStats| -> Result<Vec<ClassSolution>> {
-        stats.workers_used = 1;
-        let mut out = Vec::with_capacity(reps.len());
-        for &i in reps {
-            out.push(class_solution_isolated(&chains[i], &options.budget, stats)?);
-        }
-        Ok(out)
-    };
-    let pool = WorkerPool::global();
-    let desired = options.jobs.desired_workers(reps.len(), pool.capacity());
-    if desired <= 1 || reps.len() <= 1 {
-        return serial(stats);
-    }
-    let permits = pool.try_acquire(desired - 1);
-    if permits.count() < desired - 1 {
-        stats.permit_starvations += 1;
-    }
-    if permits.count() == 0 {
-        return serial(stats);
-    }
-    stats.workers_used = permits.count() + 1;
-    stats.parallel_rows = chains.len();
-    let next = AtomicUsize::new(0);
-    let cancel = AtomicBool::new(false);
-    let slots: Vec<Mutex<Option<Result<ClassSolution>>>> =
-        reps.iter().map(|_| Mutex::new(None)).collect();
-    let merged = Mutex::new(MrgpStats::default());
-    let work = || {
-        let mut local = MrgpStats::default();
-        loop {
-            let idx = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&i) = reps.get(idx) else {
-                break;
-            };
-            // A slot skipped after cancellation stays `None`; the error that
-            // triggered the cancellation is what the caller reports.
-            if cancel.load(Ordering::Relaxed) {
-                continue;
-            }
-            let sol = class_solution_isolated(&chains[i], &options.budget, &mut local);
-            if sol.is_err() {
-                cancel.store(true, Ordering::Relaxed);
-            }
-            *slots[idx].lock().expect("no panics while holding lock") = Some(sol);
-        }
-        // Sums and maxes commute, so the merge order (worker completion
-        // order) cannot influence the final counters.
-        let mut m = merged.lock().expect("no panics while holding lock");
-        m.max_truncation_steps = m.max_truncation_steps.max(local.max_truncation_steps);
-        m.steady_state_detections += local.steady_state_detections;
-        m.worker_panics += local.worker_panics;
-    };
-    std::thread::scope(|scope| {
-        for _ in 0..permits.count() {
-            scope.spawn(work);
-        }
-        work(); // the calling thread is worker 0 — it holds the implicit permit
-    });
-    drop(permits);
-    let local = merged.into_inner().expect("lock not poisoned");
-    stats.max_truncation_steps = stats.max_truncation_steps.max(local.max_truncation_steps);
-    stats.steady_state_detections += local.steady_state_detections;
-    stats.worker_panics += local.worker_panics;
-    let mut out = Vec::with_capacity(reps.len());
-    for slot in slots {
-        match slot.into_inner().expect("lock not poisoned") {
-            Some(Ok(sol)) => out.push(sol),
-            Some(Err(e)) => return Err(e),
-            // Cancelled before being solved: an error exists at some later
-            // slot (cancellation is only ever set by a failing class).
-            None => {}
-        }
-    }
-    if out.len() != reps.len() {
-        unreachable!("cancelled slots imply a recorded error");
-    }
-    Ok(out)
 }
 
 /// Embedded-chain row entries and conversion factors, both as sparse
@@ -696,19 +615,20 @@ struct SubordinatedChain {
 }
 
 /// The shared solution of one structural class: the transient distribution
-/// and accumulated sojourn at `tau`, over local state indices.
+/// and accumulated sojourn at `tau`, over local state indices, and the
+/// diagnostics of the uniformization series that produced them.
 struct ClassSolution {
     at_tau: Vec<f64>,
     sojourn: Vec<f64>,
+    series: TransientStats,
 }
 
 /// [`build_subordinated`] wrapped in `catch_unwind`: a panic while building
 /// one marking's chain becomes [`MrgpError::WorkerPanicked`] for that row
 /// instead of unwinding the whole solve.
 ///
-/// `AssertUnwindSafe` is justified: on unwind the partially updated `stats`
-/// counters are still consulted (they may undercount the aborted build,
-/// which is fine for observability), and the chain itself is discarded.
+/// `AssertUnwindSafe` is justified: a caught panic fails the solve, so the
+/// partially updated `stats` and the chain are both discarded.
 fn build_subordinated_isolated(
     graph: &TangibleReachGraph,
     k: usize,
@@ -722,7 +642,6 @@ fn build_subordinated_isolated(
         build_subordinated(graph, k, stats)
     }))
     .unwrap_or_else(|payload| {
-        stats.worker_panics += 1;
         nvp_obs::event_with("panic_caught", || {
             vec![
                 ("site", "subordinated chain build".into()),
@@ -854,13 +773,12 @@ fn build_subordinated(
 /// [`class_solution`] wrapped in `catch_unwind`, mirroring the historical
 /// per-row isolation: a panic inside one class's shared solve becomes
 /// [`MrgpError::WorkerPanicked`] for that class — failing the solve with a
-/// typed error — instead of unwinding through `std::thread::scope` and
-/// aborting the whole process. `budget` is checked before the solve starts,
-/// and carries the `SubordinatedTransient` fault plan.
+/// typed error — instead of unwinding through the fan-out's scoped workers
+/// and aborting the whole process. `budget` is checked before the solve
+/// starts, and carries the `SubordinatedTransient` fault plan.
 fn class_solution_isolated(
     chain: &SubordinatedChain,
     budget: &SolveBudget,
-    stats: &mut MrgpStats,
 ) -> Result<ClassSolution> {
     budget.check("subordinated chain solve")?;
     // One span per class solve, opened on the thread that runs it, so a
@@ -871,14 +789,13 @@ fn class_solution_isolated(
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         #[cfg(feature = "fault-inject")]
         if solver_fault(budget, Site::SubordinatedTransient, 0)? {
-            let mut poisoned = class_solution(chain, stats)?;
+            let mut poisoned = class_solution(chain)?;
             poisoned.at_tau[0] = f64::NAN;
             return Ok(poisoned);
         }
-        class_solution(chain, stats)
+        class_solution(chain)
     }))
     .unwrap_or_else(|payload| {
-        stats.worker_panics += 1;
         nvp_obs::event_with("panic_caught", || {
             vec![
                 ("site", "subordinated class solve".into()),
@@ -894,20 +811,20 @@ fn class_solution_isolated(
 
 /// Solves one class representative's chain: transient distribution and
 /// accumulated sojourn at `tau` in a single fused uniformization pass,
-/// recording the truncation depth the series *actually* used (not a
-/// recomputed estimate) and whether steady-state detection fired.
-fn class_solution(chain: &SubordinatedChain, stats: &mut MrgpStats) -> Result<ClassSolution> {
+/// keeping the series diagnostics: the truncation depth it *actually* used
+/// (not a recomputed estimate) and whether steady-state detection fired.
+fn class_solution(chain: &SubordinatedChain) -> Result<ClassSolution> {
     let mut pi0 = vec![0.0; chain.sub.n_states()];
     pi0[0] = 1.0; // every member starts in its own marking = local state 0
-    let (at_tau, sojourn, tstats) =
+    let (at_tau, sojourn, series) =
         chain
             .sub
             .transient_and_sojourn(&pi0, chain.tau, UNIFORMIZATION_EPS)?;
-    stats.max_truncation_steps = stats.max_truncation_steps.max(tstats.truncation_steps());
-    if tstats.stationary_at.is_some() {
-        stats.steady_state_detections += 1;
-    }
-    Ok(ClassSolution { at_tau, sojourn })
+    Ok(ClassSolution {
+        at_tau,
+        sojourn,
+        series,
+    })
 }
 
 /// Maps a class solution back to one member's embedded-chain row and
@@ -1131,7 +1048,7 @@ mod tests {
 
     /// Serializes tests that exercise the process-global [`WorkerPool`], so
     /// permit availability (and thus `workers_used`) is deterministic.
-    static POOL_TESTS: Mutex<()> = Mutex::new(());
+    static POOL_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn pool_test_lock() -> std::sync::MutexGuard<'static, ()> {
         POOL_TESTS
@@ -1320,8 +1237,7 @@ mod tests {
         }
         // Without the plan, the same options solve cleanly: the panic was
         // contained to the one class solve, not the process.
-        let (sol, stats) = steady_state_with_options(&graph, &opts).unwrap();
-        assert_eq!(stats.worker_panics, 0);
+        let (sol, _) = steady_state_with_options(&graph, &opts).unwrap();
         assert!((sol.probabilities().iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 

@@ -1,7 +1,7 @@
 //! Resource budgets for long-running solves.
 //!
 //! A [`SolveBudget`] bounds how much work a solve pipeline may perform:
-//! a wall-clock deadline and an optional cap on iterative-solver iterations.
+//! a wall-clock deadline and cooperative cancellation flags.
 //! Budgets are threaded from `nvp-core`'s analysis engine through
 //! reachability exploration (`nvp-petri`), the MRGP solver (`nvp-mrgp`) and
 //! the iterative solvers in this crate, so every stage can stop cleanly with
@@ -35,7 +35,7 @@ use crate::{NumericsError, Result};
 /// The default budget is unlimited, so existing entry points that do not
 /// thread a budget behave exactly as before.
 ///
-/// Besides the deadline and iteration cap, a budget can carry external
+/// Besides the deadline, a budget can carry external
 /// *cancellation flags* ([`with_cancel`](Self::with_cancel)): a supervisor —
 /// e.g. the worker-pool watchdog in [`crate::pool`], or a draining daemon —
 /// sets its flag and the next [`check`](Self::check) anywhere in the
@@ -50,9 +50,6 @@ pub struct SolveBudget {
     deadline: Option<Instant>,
     /// The originally configured wall-clock budget, kept for error reporting.
     budget_ms: u64,
-    /// Optional cap on iterations for iterative solvers. `None` leaves each
-    /// solver's own default in place.
-    max_iterations: Option<usize>,
     /// Cooperative cancellation flags set by supervisors; any one set
     /// cancels the solve.
     cancel: Vec<Arc<AtomicBool>>,
@@ -80,13 +77,6 @@ impl SolveBudget {
         }
     }
 
-    /// Returns this budget with an additional cap on iterative-solver
-    /// iterations.
-    pub fn and_max_iterations(mut self, iterations: usize) -> Self {
-        self.max_iterations = Some(iterations);
-        self
-    }
-
     /// Returns this budget additionally carrying `flag` as a cooperative
     /// cancellation flag; once a supervisor stores `true` in it, the next
     /// [`check`](Self::check) fails with [`NumericsError::Cancelled`].
@@ -111,24 +101,15 @@ impl SolveBudget {
         self.faults.as_ref()?.fault(site)
     }
 
-    /// `true` if no deadline, iteration cap, or cancellation flag is set.
+    /// `true` if no deadline or cancellation flag is set.
     pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.max_iterations.is_none() && self.cancel.is_empty()
+        self.deadline.is_none() && self.cancel.is_empty()
     }
 
     /// `true` if a supervisor has set any of this budget's cancellation
     /// flags.
     pub fn is_cancelled(&self) -> bool {
         self.cancel.iter().any(|flag| flag.load(Ordering::Relaxed))
-    }
-
-    /// The iteration cap to use given a solver's own `default` cap: the
-    /// smaller of the two when this budget carries a cap.
-    pub fn max_iterations_or(&self, default: usize) -> usize {
-        match self.max_iterations {
-            Some(cap) => cap.min(default),
-            None => default,
-        }
     }
 
     /// Fails with [`NumericsError::BudgetExceeded`] if the wall-clock
@@ -240,13 +221,5 @@ mod tests {
         drain.store(false, Ordering::Relaxed);
         lease.store(true, Ordering::Relaxed);
         assert!(b.is_cancelled());
-    }
-
-    #[test]
-    fn iteration_cap_tightens_but_never_loosens_defaults() {
-        let b = SolveBudget::unlimited().and_max_iterations(100);
-        assert_eq!(b.max_iterations_or(200_000), 100);
-        assert_eq!(b.max_iterations_or(50), 50);
-        assert_eq!(SolveBudget::unlimited().max_iterations_or(123), 123);
     }
 }

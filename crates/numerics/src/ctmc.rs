@@ -226,7 +226,7 @@ impl Ctmc {
                 stationary_power_with(
                     &p,
                     options.tolerance,
-                    options.budget.max_iterations_or(options.max_iterations),
+                    options.max_iterations,
                     &options.budget,
                 )
             }

@@ -187,33 +187,6 @@ impl DenseMatrix {
         Ok(y)
     }
 
-    /// Computes the matrix product `A · B`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::DimensionMismatch`] if `self.cols != b.rows`.
-    pub fn matmul(&self, b: &DenseMatrix) -> Result<DenseMatrix> {
-        if self.cols != b.rows {
-            return Err(NumericsError::DimensionMismatch {
-                expected: format!("matrix with {} rows", self.cols),
-                actual: format!("matrix with {} rows", b.rows),
-            });
-        }
-        let mut c = DenseMatrix::zeros(self.rows, b.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self.get(i, k);
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..b.cols {
-                    c.add(i, j, aik * b.get(k, j));
-                }
-            }
-        }
-        Ok(c)
-    }
-
     /// Factorizes the matrix as `P·A = L·U` with partial pivoting.
     ///
     /// # Errors
@@ -278,11 +251,6 @@ impl DenseMatrix {
     /// [`NumericsError::DimensionMismatch`] if `b.len() != rows`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         self.lu()?.solve(b)
-    }
-
-    /// Maximum absolute value of any entry (the max-norm).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, v| m.max(v.abs()))
     }
 }
 
@@ -394,20 +362,10 @@ mod tests {
     }
 
     #[test]
-    fn matmul_against_identity() {
-        let a = DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let i = DenseMatrix::identity(2);
-        assert_eq!(a.matmul(&i).unwrap(), a);
-        assert_eq!(i.matmul(&a).unwrap(), a);
-    }
-
-    #[test]
     fn mismatched_shapes_error() {
         let a = DenseMatrix::zeros(2, 3);
         assert!(a.matvec(&[1.0, 2.0]).is_err());
         assert!(a.vecmat(&[1.0, 2.0, 3.0]).is_err());
-        let b = DenseMatrix::zeros(2, 2);
-        assert!(a.matmul(&b).is_err());
     }
 
     #[test]

@@ -106,7 +106,7 @@ pub fn stationary_distribution_with(
         StationaryBackend::IterativePower => stationary_power_with(
             p,
             options.tolerance,
-            options.budget.max_iterations_or(options.max_iterations),
+            options.max_iterations,
             &options.budget,
         ),
     }

@@ -1,13 +1,18 @@
-//! A process-wide worker budget for nested parallelism.
+//! A process-wide worker budget and the one fan-out that spends it.
 //!
 //! Two layers of this workspace parallelize independently: the analysis
 //! engine fans a sweep's grid points out over threads, and the MRGP solver
-//! fans the subordinated-chain rows of a single solve out over threads.
+//! fans the subordinated-chain class solves of a single solve out over
+//! threads. Both go through [`WorkerPool::run_indexed`]: it runs one task
+//! per index on the calling thread plus however many scoped workers the
+//! pool grants, and returns the results in index order.
+//!
 //! Run naively, a parallel sweep of parallel solves would spawn
-//! `cores × cores` workers and thrash. Instead, both layers draw *permits*
-//! from one [`WorkerPool`] sized to the machine (or to `NVP_JOBS`): a layer
-//! that gets no permits simply runs on its calling thread, so nested
-//! parallelism degrades to serial instead of oversubscribing.
+//! `cores × cores` workers and thrash. Instead every fan-out draws
+//! *permits* from one [`WorkerPool`] sized to the machine (or to
+//! `NVP_JOBS`): a fan-out that gets no permits runs its tasks on the
+//! calling thread alone, so nested parallelism degrades to serial instead of
+//! oversubscribing.
 //!
 //! The accounting convention: a permit stands for one **extra** worker
 //! thread beyond the calling thread. A pool of capacity `c` therefore hands
@@ -23,20 +28,25 @@
 //! # Example
 //!
 //! ```
-//! use nvp_numerics::pool::WorkerPool;
+//! use nvp_numerics::pool::{Jobs, WorkerPool};
 //!
 //! let pool = WorkerPool::new(4);
-//! let a = pool.try_acquire(2); // granted 2
-//! let b = pool.try_acquire(5); // only 1 left (capacity 4 => 3 permits)
-//! assert_eq!(a.count(), 2);
-//! assert_eq!(b.count(), 1);
-//! drop(a);
-//! assert_eq!(pool.available(), 2);
+//! let run = pool.run_indexed(Jobs::Auto, 6, |i| Ok::<_, String>(i * i));
+//! assert_eq!(run.results, Ok(vec![0, 1, 4, 9, 16, 25]));
+//! assert_eq!(run.workers, 4); // the calling thread plus 3 permits
+//!
+//! // The first failure skips every index no worker has claimed yet, and
+//! // the lowest-index error is the answer.
+//! let run = pool.run_indexed(Jobs::Fixed(1), 6, |i| {
+//!     if i >= 2 { Err(format!("bad {i}")) } else { Ok(i) }
+//! });
+//! assert_eq!(run.results, Err("bad 2".to_owned()));
+//! assert_eq!(run.skipped, 3);
 //! ```
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How many worker threads a parallel stage may use, including the calling
@@ -245,6 +255,66 @@ impl WorkerPool {
         }
     }
 
+    /// Runs `task(i)` for every `i < n` and returns the results in index
+    /// order, together with the schedule it ran on.
+    ///
+    /// The calling thread always works; up to `jobs − 1` scoped workers
+    /// join it, each holding a permit from this pool for the duration. All
+    /// of them claim indices from one shared counter, so with no permits the
+    /// calling thread runs every task itself, in index order. After the
+    /// first failure, indices no thread has claimed yet are skipped
+    /// ([`IndexedRun::skipped`]), and the lowest-index error is returned in
+    /// place of the results. A panicking task propagates out of this call
+    /// once every worker has stopped; callers that must survive one catch it
+    /// inside `task`.
+    pub fn run_indexed<T, E, F>(&self, jobs: Jobs, n: usize, task: F) -> IndexedRun<T, E>
+    where
+        T: Send,
+        E: Send,
+        F: Fn(usize) -> Result<T, E> + Sync,
+    {
+        let extra = jobs.desired_workers(n, self.capacity()) - 1;
+        let permits = self.try_acquire(extra);
+        let next = AtomicUsize::new(0);
+        let failed = AtomicBool::new(false);
+        let slots: Vec<Mutex<Option<Result<T, E>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            // A skipped slot stays `None`: the failure that raised the flag
+            // is what the caller sees.
+            if failed.load(Ordering::Relaxed) {
+                continue;
+            }
+            let result = task(i);
+            if result.is_err() {
+                failed.store(true, Ordering::Relaxed);
+            }
+            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+        };
+        std::thread::scope(|scope| {
+            for _ in 0..permits.count() {
+                scope.spawn(work);
+            }
+            work(); // the calling thread holds the implicit permit
+        });
+        let slots: Vec<Option<Result<T, E>>> = slots
+            .into_iter()
+            .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect();
+        let skipped = slots.iter().filter(|slot| slot.is_none()).count();
+        IndexedRun {
+            // Only a failure skips an index, so collecting stops at an
+            // error before a skipped slot could shorten the results.
+            results: slots.into_iter().flatten().collect(),
+            workers: permits.count() + 1,
+            starved: permits.count() < extra,
+            skipped,
+        }
+    }
+
     /// Locks the lease table, recovering from poisoning (a panicking
     /// leaseholder) instead of propagating the panic process-wide. Every
     /// entry in the table is a plain insert/remove, so a poisoned guard's
@@ -404,6 +474,20 @@ impl Drop for Watchdog {
     }
 }
 
+/// The results and schedule of one [`WorkerPool::run_indexed`] fan-out.
+#[derive(Debug)]
+pub struct IndexedRun<T, E> {
+    /// Every task's value in index order, or the lowest-index error.
+    pub results: Result<Vec<T>, E>,
+    /// Threads that ran tasks, the calling thread included.
+    pub workers: usize,
+    /// Whether the pool granted fewer permits than the jobs setting asked
+    /// for (also counted in [`WorkerPool::starvations`]).
+    pub starved: bool,
+    /// Indices never started because a task had already failed.
+    pub skipped: usize,
+}
+
 /// A batch of worker permits held against a [`WorkerPool`]; released on
 /// drop.
 #[derive(Debug)]
@@ -525,6 +609,59 @@ mod tests {
         assert_eq!(pool.try_acquire(1).count(), 0, "over the new cap");
         drop(a);
         assert_eq!(pool.try_acquire(3).count(), 1, "new cap applies");
+    }
+
+    #[test]
+    fn run_indexed_returns_results_in_index_order() {
+        let pool = WorkerPool::new(4);
+        let n = 40;
+        for jobs in [1, 2, 4] {
+            let run = pool.run_indexed(Jobs::Fixed(jobs), n, |i| {
+                // Early indices take longest, so completion order differs
+                // from index order whenever several workers run.
+                std::thread::sleep(Duration::from_micros(((n - i) * 20) as u64));
+                Ok::<_, ()>(i * i)
+            });
+            assert_eq!(run.results, Ok((0..n).map(|i| i * i).collect::<Vec<_>>()));
+            assert_eq!(run.workers, jobs);
+            assert!(!run.starved);
+            assert_eq!(run.skipped, 0);
+            assert_eq!(pool.in_use(), 0, "permits are released");
+        }
+    }
+
+    #[test]
+    fn run_indexed_returns_the_lowest_index_error_and_skips_the_rest() {
+        let pool = WorkerPool::new(4);
+        for jobs in [1, 4] {
+            let started = AtomicUsize::new(0);
+            let run = pool.run_indexed(Jobs::Fixed(jobs), 24, |i| {
+                started.fetch_add(1, Ordering::Relaxed);
+                Err::<(), _>(i)
+            });
+            assert_eq!(run.results, Err(0));
+            let started = started.into_inner();
+            assert!(started >= 1 && started <= jobs, "{started} tasks started");
+            assert_eq!(run.skipped, 24 - started);
+        }
+    }
+
+    #[test]
+    fn run_indexed_reports_a_short_permit_grant() {
+        let pool = WorkerPool::new(3);
+        let held = pool.try_acquire(1);
+        let run = pool.run_indexed(Jobs::Fixed(4), 8, Ok::<_, ()>);
+        assert!(run.starved);
+        assert_eq!(run.workers, 2, "one permit was left for the fan-out");
+        assert_eq!(run.results, Ok((0..8).collect::<Vec<_>>()));
+        drop(held);
+        // Asking for no extra workers is never a short grant.
+        let run = pool.run_indexed(Jobs::Fixed(1), 8, Ok::<_, ()>);
+        assert!(!run.starved);
+        assert_eq!(run.workers, 1);
+        let run = pool.run_indexed(Jobs::Auto, 1, Ok::<_, ()>);
+        assert!(!run.starved);
+        assert_eq!(pool.starvations(), 1);
     }
 
     #[test]

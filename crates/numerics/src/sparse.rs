@@ -214,8 +214,10 @@ impl CsrMatrix {
         }
     }
 
-    /// Converts to a dense matrix (for small systems or debugging).
-    pub fn to_dense(&self) -> crate::dense::DenseMatrix {
+    /// Converts to a dense matrix: the oracle the sparse kernels are tested
+    /// against.
+    #[cfg(test)]
+    fn to_dense(&self) -> crate::dense::DenseMatrix {
         let mut d = crate::dense::DenseMatrix::zeros(self.rows, self.cols);
         for r in 0..self.rows {
             for (c, v) in self.row_entries(r) {

@@ -42,16 +42,6 @@ impl Marking {
         self.0[idx]
     }
 
-    /// Sets the token count of place `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    #[inline]
-    pub fn set_tokens(&mut self, idx: usize, tokens: u32) {
-        self.0[idx] = tokens;
-    }
-
     /// Removes `count` tokens from place `idx`.
     ///
     /// # Panics

@@ -255,22 +255,6 @@ impl PetriNet {
         Ok(next)
     }
 
-    /// All transitions enabled in `m`, in declaration order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors from [`PetriNet::is_enabled`].
-    pub fn enabled_transitions(&self, m: &Marking) -> Result<Vec<TransitionId>> {
-        let mut out = Vec::new();
-        for i in 0..self.transitions.len() {
-            let id = TransitionId(i);
-            if self.is_enabled(id, m)? {
-                out.push(id);
-            }
-        }
-        Ok(out)
-    }
-
     /// Binds a textual expression against this net's place names.
     ///
     /// # Errors

@@ -20,33 +20,6 @@ pub struct SccReport {
     pub recurrent: Vec<usize>,
 }
 
-impl SccReport {
-    /// Number of strongly connected components.
-    pub fn component_count(&self) -> usize {
-        self.component.iter().copied().max().map_or(0, |m| m + 1)
-    }
-
-    /// Whether marking `m` belongs to a recurrent class.
-    pub fn is_recurrent(&self, m: usize) -> bool {
-        self.recurrent.contains(&self.component[m])
-    }
-
-    /// The markings of each recurrent class.
-    pub fn recurrent_classes(&self) -> Vec<Vec<usize>> {
-        self.recurrent
-            .iter()
-            .map(|&c| {
-                self.component
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &cc)| cc == c)
-                    .map(|(m, _)| m)
-                    .collect()
-            })
-            .collect()
-    }
-}
-
 /// Computes the SCCs of the timed-transition graph (exponential and
 /// deterministic edges alike) with Tarjan's algorithm (iterative).
 pub fn analyze(graph: &TangibleReachGraph) -> SccReport {
@@ -158,9 +131,8 @@ mod tests {
             .output(a, 1);
         let graph = explore(&b.build().unwrap(), 100).unwrap();
         let report = analyze(&graph);
-        assert_eq!(report.component_count(), 1);
-        assert_eq!(report.recurrent.len(), 1);
-        assert!(report.is_recurrent(0) && report.is_recurrent(1));
+        assert_eq!(report.component, vec![0, 0], "one component");
+        assert_eq!(report.recurrent, vec![0]);
     }
 
     #[test]
@@ -185,13 +157,17 @@ mod tests {
         let net = b.build().unwrap();
         let graph = explore(&net, 100).unwrap();
         let report = analyze(&graph);
-        assert_eq!(report.component_count(), 2);
+        assert_eq!(report.component.iter().max(), Some(&1), "two components");
         assert_eq!(report.recurrent.len(), 1);
         let start = graph
             .index_of(&crate::marking::Marking::new(vec![1, 0, 0]))
             .unwrap();
-        assert!(!report.is_recurrent(start));
-        assert_eq!(report.recurrent_classes()[0].len(), 2);
+        assert!(!report.recurrent.contains(&report.component[start]));
+        let recurrent_class = report
+            .component
+            .iter()
+            .filter(|&&c| c == report.recurrent[0]);
+        assert_eq!(recurrent_class.count(), 2);
     }
 
     #[test]
@@ -220,7 +196,7 @@ mod tests {
         let graph = explore(&b.build().unwrap(), 100).unwrap();
         let report = analyze(&graph);
         assert_eq!(report.recurrent.len(), 2);
-        assert_eq!(report.component_count(), 3);
+        assert_eq!(report.component.iter().max(), Some(&2), "three components");
     }
 
     #[test]
@@ -238,7 +214,7 @@ mod tests {
             .output(a, 1);
         let graph = explore(&b.build().unwrap(), 100).unwrap();
         let report = analyze(&graph);
-        assert_eq!(report.component_count(), 1);
-        assert_eq!(report.recurrent.len(), 1);
+        assert_eq!(report.component, vec![0, 0], "one component");
+        assert_eq!(report.recurrent, vec![0]);
     }
 }

@@ -10,7 +10,7 @@
 //! permit is refused up front with `429` + `Retry-After` instead of piling
 //! unbounded work onto a starved pool.
 
-use std::io::{self, BufRead, BufReader, Read, Write as _};
+use std::io::{self, BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -29,6 +29,8 @@ use nvp_obs::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use nvp_obs::recorder::{self, DumpContext, FlightRecorder};
 use nvp_obs::sink;
 use nvp_obs::trace::{self, SpanHandle};
+use nvp_store::atomic::write_atomic;
+use nvp_store::record::fnv1a64;
 
 use crate::api;
 use crate::http::{self, Request, RequestError, Response};
@@ -581,16 +583,12 @@ fn flight_dump(inner: &Arc<ServerInner>, trigger: &str, detail: &str) {
     let context = dump_context(inner, trigger, detail);
     let seq = inner.flight_seq.fetch_add(1, Ordering::SeqCst) + 1;
     let path = dir.join(format!("flight-{seq:04}-{trigger}.jsonl"));
-    // Written under a temporary name and renamed into place, so a reader
-    // polling the directory never sees a half-written dump.
-    let partial = path.with_extension("tmp");
-    let result = std::fs::create_dir_all(dir).and_then(|()| {
-        let mut file = io::BufWriter::new(std::fs::File::create(&partial)?);
-        recorder::write_dump(&inner.flight, &context, &mut file)?;
-        file.flush()?;
-        drop(file);
-        std::fs::rename(&partial, &path)
-    });
+    // Published atomically, so a reader polling the directory never sees a
+    // half-written dump.
+    let mut dump = Vec::new();
+    let result = recorder::write_dump(&inner.flight, &context, &mut dump)
+        .and_then(|()| std::fs::create_dir_all(dir))
+        .and_then(|()| write_atomic(&path, &dump));
     match result {
         Ok(()) => sink::server(
             "flight",
@@ -1141,12 +1139,7 @@ fn submit(
 /// lockstep; distinct request ids de-synchronize them, and determinism
 /// keeps refusal behavior reproducible in tests.
 fn retry_jitter(seed: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in seed.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    1 + hash % 3
+    1 + fnv1a64(seed.as_bytes()) % 3
 }
 
 /// Job worker body. Holds its admission permit for the duration; panics

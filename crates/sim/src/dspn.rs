@@ -488,58 +488,6 @@ pub fn simulate_occupancy_batched(
     })
 }
 
-/// Estimates the transient expected reward `E[reward(X(t))]` at each time in
-/// `times` by independent replications (ensemble averaging).
-///
-/// Unlike [`simulate_reward`] (a time average along one long trajectory,
-/// estimating the *steady state*), this estimates the reward at *specific
-/// mission times* from the initial marking — the simulation counterpart of
-/// `nvp-core::dependability::transient_reliability`, usable for models with
-/// deterministic transitions where the analytic transient is unavailable.
-///
-/// `times` must be sorted ascending.
-///
-/// # Errors
-///
-/// Option-validation (`replications ≥ 2`, times sorted and non-negative) and
-/// simulation errors.
-pub fn simulate_transient_reward<F: Fn(&Marking) -> f64>(
-    net: &PetriNet,
-    reward: &F,
-    times: &[f64],
-    replications: usize,
-    seed: u64,
-) -> Result<Vec<Estimate>> {
-    if replications < 2 {
-        return Err(SimError::InvalidOption {
-            what: "replications",
-            constraint: format!("need at least 2, got {replications}"),
-        });
-    }
-    if times.windows(2).any(|w| w[1] < w[0]) || times.iter().any(|&t| !t.is_finite() || t < 0.0) {
-        return Err(SimError::InvalidOption {
-            what: "times",
-            constraint: "must be sorted, non-negative and finite".into(),
-        });
-    }
-    let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(replications); times.len()];
-    for rep in 0..replications {
-        let mut sim = DspnSimulator::new(net, seed.wrapping_add(rep as u64))?;
-        for (t_idx, &t) in times.iter().enumerate() {
-            while sim.time() < t {
-                sim.step(t)?;
-            }
-            // The marking at exactly time t (settle resolves immediates).
-            sim.settle()?;
-            samples[t_idx].push(reward(sim.marking()));
-        }
-    }
-    Ok(samples
-        .iter()
-        .map(|vals| batch_means_estimate(vals))
-        .collect())
-}
-
 /// Result of [`simulate_occupancy`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct OccupancyEstimate {
@@ -781,35 +729,6 @@ mod tests {
         .unwrap();
         // After the (fast) transition, the process sits in B forever.
         assert!((est.mean - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn transient_ensemble_matches_closed_form() {
-        // p_up(t) = r/(r+f) + f/(r+f) e^{-(r+f)t} for the up/down chain.
-        let (f, r) = (0.4, 1.2);
-        let net = updown(f, r);
-        let times = [0.0, 0.5, 1.5, 4.0];
-        let estimates =
-            simulate_transient_reward(&net, &|m: &Marking| f64::from(m.tokens(0)), &times, 6000, 9)
-                .unwrap();
-        for (&t, est) in times.iter().zip(&estimates) {
-            let exact = r / (r + f) + f / (r + f) * (-(r + f) * t).exp();
-            assert!(
-                est.covers(exact, 0.02),
-                "t={t}: estimate {est:?} vs exact {exact}"
-            );
-        }
-        // At t = 0 the estimate is exact.
-        assert_eq!(estimates[0].mean, 1.0);
-    }
-
-    #[test]
-    fn transient_ensemble_validates_inputs() {
-        let net = updown(1.0, 1.0);
-        let reward = |m: &Marking| f64::from(m.tokens(0));
-        assert!(simulate_transient_reward(&net, &reward, &[0.0], 1, 0).is_err());
-        assert!(simulate_transient_reward(&net, &reward, &[2.0, 1.0], 10, 0).is_err());
-        assert!(simulate_transient_reward(&net, &reward, &[-1.0], 10, 0).is_err());
     }
 
     #[test]

@@ -8,14 +8,17 @@
 //! process killed mid-write leaves only a temp file behind, never a
 //! half-published destination.
 //!
-//! The temp name embeds the process id and a process-local sequence number
-//! (`target.<pid>.<seq>.tmp`), so two processes — or two threads — writing
+//! The temp name replaces the destination's extension with the process id
+//! and a process-local sequence number (`target.csv` is written as
+//! `target.<pid>.<seq>.tmp`), so two processes — or two threads — writing
 //! the same destination concurrently each write their own temp file instead
 //! of clobbering one another mid-write (the failure mode of a fixed
 //! `target.tmp` sibling: writer B truncates the temp file while writer A is
 //! between its write and its rename, publishing A's name with B's torn
 //! bytes). The renames still race, but a rename is atomic: the destination
-//! holds one complete version or the other.
+//! holds one complete version or the other. Because the temp name does not
+//! contain the destination's full name, a reader that polls a directory for
+//! names containing `-drain.jsonl` (say) never opens an in-flight temp.
 //!
 //! A SIGKILL between create and rename strands the temp file.
 //! [`clean_stale_temps`] sweeps such orphans; it only removes temps older
@@ -45,7 +48,8 @@ fn invalid(message: String) -> io::Error {
 }
 
 /// Writes `contents` to `path` atomically: a uniquely named temporary
-/// sibling file (`path.<pid>.<seq>.tmp`) is written, synced, and renamed
+/// sibling file (`path` with its extension replaced by `<pid>.<seq>.tmp`)
+/// is written, synced, and renamed
 /// over `path`. Readers observe either the old file or the complete new
 /// one; concurrent writers (threads or processes) cannot corrupt each
 /// other's in-flight temp files. The parent directory is fsync'd
@@ -56,13 +60,14 @@ fn invalid(message: String) -> io::Error {
 /// I/O errors creating, writing, syncing or renaming the temporary file
 /// (the temp file is removed best-effort on failure).
 pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .ok_or_else(|| invalid(format!("`{}` has no file name to write to", path.display())))?;
+    if path.file_name().is_none() {
+        return Err(invalid(format!(
+            "`{}` has no file name to write to",
+            path.display()
+        )));
+    }
     let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    name.push(format!(".{}.{seq}{TEMP_SUFFIX}", std::process::id()));
-    let tmp = path.with_file_name(name);
+    let tmp = path.with_extension(format!("{}.{seq}{TEMP_SUFFIX}", std::process::id()));
     let publish = (|| {
         let mut file = File::create(&tmp)?;
         file.write_all(contents)?;

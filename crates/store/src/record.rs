@@ -41,9 +41,9 @@ pub const HEADER_LEN: usize = 32;
 const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a 64-bit hash — the workspace-wide fingerprint function (same
-/// constants as the sweep journal's grid fingerprint). Used both for the
-/// record checksum and for deriving content-addressed filenames.
+/// FNV-1a 64-bit hash — the workspace-wide fingerprint function. Used for
+/// the record checksum, for deriving content-addressed filenames, for the
+/// sweep journal's grid fingerprint and for `nvp serve`'s retry jitter.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = FNV_OFFSET_BASIS;
