@@ -123,8 +123,8 @@ USAGE:
       times) to either command. --budget-ms caps the wall-clock time of
       each uncached solve; --max-markings caps state-space exploration.
       --jobs sets the worker budget shared by the parallel sweep and the
-      MRGP row solver (default: NVP_JOBS or the number of cores; output is
-      identical at any level).
+      MRGP row solver: 1 to 256, or auto (default: NVP_JOBS or the number
+      of cores; output is identical at any level).
       --out FILE writes the CSV atomically to FILE and checkpoints every
       completed grid point in FILE.journal (fsync'd per point); after a
       crash or kill, rerunning with --resume replays the journal and solves
@@ -360,10 +360,10 @@ fn resolve_cache_dir(explicit: Option<PathBuf>) -> Option<PathBuf> {
     })
 }
 
-/// Parses a `--jobs` value: a positive worker count or `auto`.
+/// Parses a `--jobs` value: a worker count from 1 to 256, or `auto`.
 fn parse_jobs(v: &str) -> Result<Jobs> {
     Jobs::parse(v).ok_or_else(|| CliError {
-        message: format!("bad value `{v}` for `--jobs` (positive integer or `auto`)"),
+        message: format!("bad value `{v}` for `--jobs` (integer from 1 to 256, or `auto`)"),
     })
 }
 
@@ -1247,7 +1247,7 @@ mod tests {
         assert!(text.contains("solver statistics:"), "{text}");
         assert!(text.contains("chain cache"), "{text}");
         assert!(text.contains("uniformization depth"), "{text}");
-        assert!(text.contains("dedup class(es)"), "{text}");
+        assert!(text.contains("49 subordinated chain(s)"), "{text}");
         // Without the flag the report stays stats-free.
         let text = run_to_string(&["analyze"]).unwrap();
         assert!(!text.contains("solver statistics:"), "{text}");
@@ -1274,7 +1274,7 @@ mod tests {
         assert!(text.contains("metrics:"), "{text}");
         assert!(text.contains("nvp_cache_misses_total 1"), "{text}");
         assert!(text.contains("nvp_stage_solve_ns_count 1"), "{text}");
-        assert!(text.contains("nvp_dedup_classes_total 49"), "{text}");
+        assert!(text.contains("nvp_subordinated_chains_total 49"), "{text}");
         let (status, text) = run_full(&[
             "sweep",
             "--axis",
@@ -1521,9 +1521,10 @@ mod tests {
 
     #[test]
     fn jobs_flag_rejects_bad_values() {
-        for bad in ["0", "fast", "-2"] {
+        for bad in ["0", "fast", "-2", "257", "100000"] {
             let err = run_to_string(&["analyze", "--jobs", bad]).unwrap_err();
             assert!(err.message.contains("--jobs"), "{bad}: {}", err.message);
+            assert!(err.message.contains("256"), "{bad}: {}", err.message);
         }
         // `auto` and explicit counts are accepted on both commands.
         run_to_string(&["analyze", "--jobs", "auto"]).unwrap();

@@ -222,7 +222,9 @@ impl ChainKey {
 
     /// Explicit little-endian byte serialization of this key for the
     /// persistent solve store, prefixed with [`STORE_SOLVER_VERSION`] and
-    /// the solver's subordinated-chain dedup flag.
+    /// a flag byte. The solver no longer reads the flag
+    /// ([`SolveOptions::dedup`]); every store written so far used `true`,
+    /// which is what the engine still passes.
     ///
     /// The std `Hash` implementation deliberately plays no part here: its
     /// `RandomState` seed is randomized per process, so std hashes cannot
@@ -340,7 +342,7 @@ fn record_of(solution: &ChainSolution) -> SolveRecord {
         max_truncation_steps: solution.solver_stats.max_truncation_steps as u64,
         guard_trips: solution.solver_stats.guard_trips as u64,
         dedup_classes: solution.solver_stats.dedup_classes as u64,
-        dedup_hits: solution.solver_stats.dedup_hits as u64,
+        dedup_hits: 0,
         steady_state_detections: solution.solver_stats.steady_state_detections as u64,
         degraded: solution.degraded.as_ref().map(degraded_to_record),
     }
@@ -357,7 +359,6 @@ fn solver_stats_of(record: &SolveRecord) -> Option<MrgpStats> {
         backend: backend_from_u8(record.backend)?,
         guard_trips: record.guard_trips as usize,
         dedup_classes: record.dedup_classes as usize,
-        dedup_hits: record.dedup_hits as usize,
         steady_state_detections: record.steady_state_detections as usize,
         ..MrgpStats::default()
     })
@@ -440,12 +441,6 @@ pub struct SolverStats {
     pub max_subordinated_states: usize,
     /// Deepest uniformization (Poisson-series) truncation actually used.
     pub max_truncation_steps: usize,
-    /// Structural equivalence classes actually solved by the MRGP row stage
-    /// (one shared solve per class).
-    pub dedup_classes: usize,
-    /// Subordinated-chain solves skipped because a structurally identical
-    /// chain's class solution was reused.
-    pub dedup_hits: usize,
     /// Uniformization series cut short by bitwise steady-state detection.
     pub steady_state_detections: usize,
     /// Stationary solves answered by the dense LU backend.
@@ -537,9 +532,8 @@ impl std::fmt::Display for SolverStats {
         )?;
         writeln!(
             f,
-            "solver hot path  : {} dedup class(es), {} dedup hit(s), \
-             {} steady-state detection(s)",
-            self.dedup_classes, self.dedup_hits, self.steady_state_detections
+            "solver hot path  : {} steady-state detection(s)",
+            self.steady_state_detections
         )?;
         writeln!(
             f,
@@ -631,8 +625,6 @@ struct SolutionCells {
     subordinated_chains: Counter,
     max_subordinated_states: Gauge,
     max_truncation_steps: Gauge,
-    dedup_classes: Counter,
-    dedup_hits: Counter,
     steady_state_detections: Counter,
     dense_solves: Counter,
     iterative_solves: Counter,
@@ -653,8 +645,6 @@ impl SolutionCells {
             subordinated_chains: metrics.counter("nvp_subordinated_chains_total"),
             max_subordinated_states: metrics.gauge("nvp_max_subordinated_states"),
             max_truncation_steps: metrics.gauge("nvp_max_truncation_steps"),
-            dedup_classes: metrics.counter("nvp_dedup_classes_total"),
-            dedup_hits: metrics.counter("nvp_dedup_hits_total"),
             steady_state_detections: metrics.counter("nvp_steady_state_detections_total"),
             dense_solves: metrics.counter("nvp_dense_solves_total"),
             iterative_solves: metrics.counter("nvp_iterative_solves_total"),
@@ -679,8 +669,6 @@ impl SolutionCells {
             .set_max(solver.max_subordinated_states as u64);
         self.max_truncation_steps
             .set_max(solver.max_truncation_steps as u64);
-        self.dedup_classes.add(solver.dedup_classes as u64);
-        self.dedup_hits.add(solver.dedup_hits as u64);
         self.steady_state_detections
             .add(solver.steady_state_detections as u64);
         self.guard_trips.add(solver.guard_trips as u64);
@@ -1085,10 +1073,8 @@ impl AnalysisEngine {
     ) -> Result<Arc<ChainSolution>> {
         params.validate()?;
         let key = ChainKey::of(params, backend.max_markings());
-        // The on-disk identity of the solve; the dedup flag rides along
-        // because it selects the code path the stored bits came from (the
-        // paths are bit-identical by construction, but the claim is
-        // verified per flag, not assumed across flags).
+        // The on-disk identity of the solve. The solver ignores the flag
+        // byte; it keeps the default's value so existing stores stay warm.
         let key_bytes = self
             .store
             .as_ref()
@@ -1848,8 +1834,6 @@ impl AnalysisEngine {
             subordinated_chains: c.subordinated_chains.get() as usize,
             max_subordinated_states: c.max_subordinated_states.get() as usize,
             max_truncation_steps: c.max_truncation_steps.get() as usize,
-            dedup_classes: c.dedup_classes.get() as usize,
-            dedup_hits: c.dedup_hits.get() as usize,
             steady_state_detections: c.steady_state_detections.get() as usize,
             dense_solves: c.dense_solves.get() as usize,
             iterative_solves: c.iterative_solves.get() as usize,
@@ -2276,13 +2260,8 @@ mod tests {
             stats.subordinated_chains > 0,
             "the clock subordinates chains"
         );
-        // Every subordinated chain is either a class representative or a
-        // dedup hit on one.
-        assert!(stats.dedup_classes >= 1, "{stats:?}");
-        assert_eq!(
-            stats.dedup_classes + stats.dedup_hits,
-            stats.subordinated_chains
-        );
+        // One subordinated chain per marking that enables the clock.
+        assert_eq!(stats.subordinated_chains, 49, "{stats:?}");
         assert!(stats.max_truncation_steps > 0);
         assert_eq!(stats.dense_solves, 1);
         assert_eq!(stats.iterative_solves, 0);
@@ -2868,7 +2847,10 @@ mod tests {
             stats.tangible_markings,
             5 * warm.explore_stats.tangible_markings
         );
-        assert_eq!(stats.dedup_classes, 5 * warm.solver_stats.dedup_classes);
+        assert_eq!(
+            stats.subordinated_chains,
+            5 * warm.solver_stats.subordinated_chains
+        );
         let prom = engine.metrics().render_prometheus();
         for (name, value) in [
             ("nvp_cache_hits_total", stats.cache_hits),
@@ -2877,7 +2859,10 @@ mod tests {
             ("nvp_cache_entries", stats.chain_solutions as u64),
             ("nvp_cache_bytes_approx", stats.cache_bytes),
             ("nvp_store_hits_total", stats.store_hits),
-            ("nvp_dedup_classes_total", stats.dedup_classes as u64),
+            (
+                "nvp_subordinated_chains_total",
+                stats.subordinated_chains as u64,
+            ),
             (
                 "nvp_tangible_markings_total",
                 stats.tangible_markings as u64,
@@ -2965,8 +2950,8 @@ mod tests {
             assert_eq!(warm.solver_stats.method, cold.solver_stats.method);
             assert_eq!(warm.solver_stats.backend, cold.solver_stats.backend);
             assert_eq!(
-                warm.solver_stats.dedup_classes,
-                cold.solver_stats.dedup_classes
+                warm.solver_stats.subordinated_chains,
+                cold.solver_stats.subordinated_chains
             );
             assert!(warm.degraded.is_none());
             assert_eq!(
@@ -3147,7 +3132,7 @@ mod tests {
         let mut chain_variant = base.clone();
         chain_variant.rejuvenation_interval = 601.0;
         assert_ne!(store_key(&base), store_key(&chain_variant));
-        // The dedup flag is part of the on-disk identity.
+        // The flag byte is part of the on-disk identity.
         let key = ChainKey::of(&base, 100);
         assert_ne!(key.store_bytes(true), key.store_bytes(false));
     }

@@ -146,13 +146,6 @@ impl SystemParams {
         }
     }
 
-    /// Maximum number of unavailable (non-operational or rejuvenating)
-    /// modules for which the voter can still produce output:
-    /// `n - voting_threshold()`.
-    pub fn max_unavailable(&self) -> u32 {
-        self.n - self.voting_threshold()
-    }
-
     /// Minimum module count required by the BFT bound:
     /// `3f + 1` without rejuvenation, `3f + 2r + 1` with it (§II-B).
     pub fn required_modules(&self) -> u32 {
@@ -368,7 +361,6 @@ mod tests {
         assert_eq!(p4.f, 1);
         assert!(!p4.rejuvenation);
         assert_eq!(p4.voting_threshold(), 3);
-        assert_eq!(p4.max_unavailable(), 1);
         p4.validate().unwrap();
 
         let p6 = SystemParams::paper_six_version();
@@ -377,7 +369,6 @@ mod tests {
         assert_eq!(p6.r, 1);
         assert!(p6.rejuvenation);
         assert_eq!(p6.voting_threshold(), 4);
-        assert_eq!(p6.max_unavailable(), 2);
         assert_eq!(p6.alpha, 0.5);
         assert_eq!(p6.p, 0.08);
         assert_eq!(p6.p_prime, 0.5);

@@ -73,7 +73,8 @@ impl ReliabilityMatrix {
     }
 
     /// The number of states the voting rule covers (non-zero entries).
-    pub fn covered_states(&self) -> usize {
+    #[cfg(test)]
+    fn covered_states(&self) -> usize {
         self.iter().filter(|&(_, v)| v > 0.0).count()
     }
 }

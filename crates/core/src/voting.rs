@@ -19,14 +19,6 @@ pub enum Verdict {
     Inconclusive,
 }
 
-impl Verdict {
-    /// Whether this outcome counts as reliable under the paper's definition
-    /// (everything but a perception error).
-    pub fn is_reliable(self) -> bool {
-        !matches!(self, Verdict::Error)
-    }
-}
-
 /// Tally of module outputs for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct VoteTally {
@@ -207,12 +199,5 @@ mod tests {
             scheme.decide(VoteTally::new(0, 0, 0)),
             Verdict::Inconclusive
         );
-    }
-
-    #[test]
-    fn verdict_reliability_classification() {
-        assert!(Verdict::Correct.is_reliable());
-        assert!(Verdict::Inconclusive.is_reliable());
-        assert!(!Verdict::Error.is_reliable());
     }
 }

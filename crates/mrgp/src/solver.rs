@@ -16,7 +16,6 @@ use nvp_numerics::{
     DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE,
 };
 use nvp_petri::reach::TangibleReachGraph;
-use std::collections::HashMap;
 
 /// Truncation accuracy of the uniformization series used for subordinated
 /// chains.
@@ -74,23 +73,17 @@ pub struct MrgpStats {
     /// the calling thread); 0 when no such stage ran (CTMC / single
     /// marking), 1 for a strictly serial MRGP solve.
     pub workers_used: usize,
-    /// Subordinated-chain rows whose class solves ran on more than one
-    /// worker.
+    /// Subordinated-chain rows solved by a row stage that ran on more than
+    /// one worker.
     pub parallel_rows: usize,
     /// Times the row stage asked the worker pool for permits and was
     /// granted fewer than requested (nested parallelism degrading towards
     /// serial).
     pub permit_starvations: usize,
-    /// Structural equivalence classes among the subordinated CTMCs — the
-    /// number of distinct (delay, transition-structure) fingerprints that
-    /// were actually solved. Equals `subordinated_chains` when every chain
-    /// is unique or dedup is disabled.
+    /// Always equal to `subordinated_chains`: every chain is solved on its
+    /// own. Kept only because the benchmark reports it under its old name.
     pub dedup_classes: usize,
-    /// Subordinated chains whose solve was skipped because another chain in
-    /// the same structural class already provided the bit-identical
-    /// solution (`subordinated_chains - dedup_classes`).
-    pub dedup_hits: usize,
-    /// Class solves whose uniformization iterate reached a bitwise fixpoint
+    /// Chain solves whose uniformization iterate reached a bitwise fixpoint
     /// before the Poisson series ended, letting the solver skip the
     /// remaining matrix products (see
     /// [`nvp_numerics::ctmc::TransientStats`]).
@@ -120,12 +113,10 @@ pub struct SolveOptions {
     /// at any worker count. [`Jobs::Fixed`]`(1)` runs every solve on the
     /// calling thread.
     pub jobs: Jobs,
-    /// Solve one subordinated CTMC per structural equivalence class and map
-    /// the class solution back to every member, instead of solving each
-    /// chain independently. Chains with bitwise-equal delay and local
-    /// transition structure run the exact same float operations, so sharing
-    /// is bit-identical to the chain-per-marking path; `false` forces that
-    /// historical path (useful for differential tests and benchmarks).
+    /// Ignored by the solver. It survives only as the flag byte of the
+    /// persistent store's keys (`ChainKey::store_bytes` in `nvp-core`),
+    /// which the benchmark builds from this default, so stores written with
+    /// it stay warm.
     pub dedup: bool,
 }
 
@@ -342,8 +333,6 @@ pub fn steady_state_with_options(
         span.record("method", format!("{:?}", stats.method));
         span.record("workers_used", stats.workers_used);
         span.record("subordinated_chains", stats.subordinated_chains);
-        span.record("dedup_classes", stats.dedup_classes);
-        span.record("dedup_hits", stats.dedup_hits);
         span.record("steady_state_detections", stats.steady_state_detections);
     }
     Ok((solution, stats))
@@ -485,198 +474,157 @@ fn solve_mrgp(
 /// which enables a deterministic transition), returning the results in the
 /// same order.
 ///
-/// The work runs in three phases:
-///
-/// 1. **Build** (serial): BFS each marking's subordinated CTMC and compute
-///    its structural fingerprint ([`ChainClassKey`]). Chains with equal keys
-///    form one equivalence class — they run the exact same float operations
-///    when solved, so one solve serves every member bit for bit.
-/// 2. **Class solve** (parallel): one transient/sojourn solve per class
-///    representative, fanned out by [`WorkerPool::run_indexed`] as far as
-///    [`SolveOptions::jobs`] and the process-wide pool allow. Each solve
-///    returns its own series diagnostics, folded in class order.
-/// 3. **Assemble** (serial): map each class solution back to its members'
-///    embedded-chain rows and conversion factors, in marking order — so the
-///    result is bit-identical however the class solves were scheduled.
-///
-/// On the first class-solve error the remaining unclaimed classes are
-/// skipped and the lowest-index error is returned. Budget
-/// checks run once per built chain and once per claimed class, exactly like
-/// the historical per-row path.
+/// Every marking is one task of [`WorkerPool::run_indexed`], fanned out as
+/// far as [`SolveOptions::jobs`] and the process-wide pool allow: the task
+/// checks the budget, builds the marking's subordinated CTMC, solves it and
+/// assembles its row ([`solve_row`]), so each worker holds one chain at a
+/// time. Chain sizes and series diagnostics are folded here in marking
+/// order, and the caller assembles the embedded chain in marking order, so
+/// the result is bit-identical however the tasks were scheduled. On the
+/// first error the remaining unclaimed markings are skipped and the
+/// lowest-index error is returned.
 fn solve_deterministic_rows(
     graph: &TangibleReachGraph,
     markings: &[usize],
     options: &SolveOptions,
     stats: &mut MrgpStats,
 ) -> Result<Vec<RowAndConversion>> {
-    // Phase 1 — build every subordinated chain and group by fingerprint.
-    let mut chains = Vec::with_capacity(markings.len());
-    for &k in markings {
-        options.budget.check("subordinated chain solve")?;
-        chains.push(build_subordinated_isolated(graph, k, stats)?);
-    }
-    let mut class_of = Vec::with_capacity(chains.len());
-    let mut reps: Vec<usize> = Vec::new(); // chain index of each class representative
-    if options.dedup {
-        let mut seen: HashMap<&ChainClassKey, usize> = HashMap::new();
-        for chain in &chains {
-            match seen.get(&chain.key) {
-                Some(&class) => class_of.push(class),
-                None => {
-                    seen.insert(&chain.key, reps.len());
-                    class_of.push(reps.len());
-                    reps.push(class_of.len() - 1);
-                }
-            }
-        }
-    } else {
-        // Dedup disabled: one class per chain, reproducing the historical
-        // chain-per-marking schedule.
-        class_of.extend(0..chains.len());
-        reps.extend(0..chains.len());
-    }
-    stats.dedup_classes += reps.len();
-    stats.dedup_hits += chains.len() - reps.len();
-
-    // Phase 2 — one solve per class, fanned out when permitted. Each solve
-    // reports its own series diagnostics, folded here in class order.
-    let run = WorkerPool::global().run_indexed(options.jobs, reps.len(), |class| {
-        class_solution_isolated(&chains[reps[class]], &options.budget)
+    let run = WorkerPool::global().run_indexed(options.jobs, markings.len(), |i| {
+        solve_row(graph, markings[i], &options.budget)
     });
     stats.workers_used = run.workers;
     if run.workers > 1 {
-        stats.parallel_rows = chains.len();
+        stats.parallel_rows = markings.len();
     }
     if run.starved {
         stats.permit_starvations += 1;
     }
-    let solutions = run.results?;
-    for sol in &solutions {
+    let solved = run.results?;
+    stats.subordinated_chains = solved.len();
+    stats.dedup_classes = solved.len();
+    for row in &solved {
+        stats.max_subordinated_states = stats.max_subordinated_states.max(row.states);
+        stats.total_subordinated_states += row.states;
         stats.max_truncation_steps = stats
             .max_truncation_steps
-            .max(sol.series.truncation_steps());
-        stats.steady_state_detections += usize::from(sol.series.stationary_at.is_some());
+            .max(row.series.truncation_steps());
+        stats.steady_state_detections += usize::from(row.series.stationary_at.is_some());
     }
-
-    // Phase 3 — per-member assembly in marking order.
-    Ok(chains
-        .iter()
-        .zip(&class_of)
-        .map(|(chain, &class)| assemble_row(graph, chain, &solutions[class]))
-        .collect())
+    Ok(solved.into_iter().map(|row| row.entries).collect())
 }
 
 /// Embedded-chain row entries and conversion factors, both as sparse
 /// `(marking index, value)` lists.
 type RowAndConversion = (Vec<(usize, f64)>, Vec<(usize, f64)>);
 
-/// Structural fingerprint of a subordinated CTMC: the deterministic delay
-/// and the exact `add_rate` sequence over dense local indices, both at bit
-/// granularity.
-///
-/// Two chains with equal keys are built by identical construction calls, so
-/// their [`Ctmc`]s are bitwise-equal values — and since the transient solve
-/// is a deterministic pure-float function of the chain, the delay, and the
-/// (shared, `e₀`) initial vector, their solutions are bit-identical too.
-/// The deterministic firing's branch rows are deliberately *not* part of the
-/// key: they only enter during per-member row assembly, which runs after the
-/// shared solve, so they cannot constrain class membership.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct ChainClassKey {
-    /// Bit pattern of the deterministic delay `tau`.
-    tau_bits: u64,
-    /// Transient (non-absorbing) state count.
-    n_trans: usize,
-    /// Total state count, transient + absorbing.
-    n_total: usize,
-    /// `(from, to, rate bits)` in `add_rate` order.
-    transitions: Vec<(usize, usize, u64)>,
+/// One deterministic marking's share of the row stage: its row and
+/// conversion factors, the state count of its subordinated CTMC, and the
+/// diagnostics of the uniformization series that solved it.
+struct SolvedRow {
+    entries: RowAndConversion,
+    states: usize,
+    series: TransientStats,
 }
 
 /// One marking's subordinated CTMC, built but not yet solved: the BFS
-/// membership (global marking indices), the chain over local indices, and
-/// the structural fingerprint used to pool solves across markings.
+/// membership (global marking indices) and the chain over local indices.
 struct SubordinatedChain {
-    /// The deterministic marking this chain subordinates.
-    k: usize,
-    /// The deterministic transition enabled in `k`.
+    /// The deterministic transition enabled in the subordinating marking.
     det_transition: nvp_petri::net::TransitionId,
     /// Deterministic delay.
     tau: f64,
-    /// Global marking index of each transient local state (`members[0] == k`).
+    /// Global marking index of each transient local state; `members[0]` is
+    /// the subordinating marking.
     members: Vec<usize>,
     /// Global marking index of each absorbing local state (offset by
     /// `members.len()` in the chain).
     absorbing_members: Vec<usize>,
     /// The subordinated CTMC: transient states first, then absorbing.
     sub: Ctmc,
-    /// Structural equivalence key.
-    key: ChainClassKey,
 }
 
-/// The shared solution of one structural class: the transient distribution
-/// and accumulated sojourn at `tau`, over local state indices, and the
-/// diagnostics of the uniformization series that produced them.
-struct ClassSolution {
-    at_tau: Vec<f64>,
-    sojourn: Vec<f64>,
-    series: TransientStats,
-}
-
-/// [`build_subordinated`] wrapped in `catch_unwind`: a panic while building
-/// one marking's chain becomes [`MrgpError::WorkerPanicked`] for that row
-/// instead of unwinding the whole solve.
+/// Builds, solves and assembles marking `k`'s row. `budget` is checked
+/// before the build, and carries the `SubordinatedTransient` fault plan.
 ///
-/// `AssertUnwindSafe` is justified: a caught panic fails the solve, so the
-/// partially updated `stats` and the chain are both discarded.
-fn build_subordinated_isolated(
-    graph: &TangibleReachGraph,
-    k: usize,
-    stats: &mut MrgpStats,
-) -> Result<SubordinatedChain> {
-    // One span per row, so a trace still shows every deterministic marking
-    // even when its solve is pooled into a shared class.
+/// The build and the solve each run under `catch_unwind` ([`isolated`]), so
+/// a panic in either fails this marking with [`MrgpError::WorkerPanicked`]
+/// instead of unwinding through the fan-out's scoped workers.
+fn solve_row(graph: &TangibleReachGraph, k: usize, budget: &SolveBudget) -> Result<SolvedRow> {
+    budget.check("subordinated chain solve")?;
+    // One span per marking, opened on the worker that runs it, so a trace
+    // shows which worker handled which row.
     let mut span = nvp_obs::span("mrgp.row");
     span.record("marking", k);
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        build_subordinated(graph, k, stats)
-    }))
-    .unwrap_or_else(|payload| {
+    let chain = isolated("subordinated chain build", k, || {
+        build_subordinated(graph, k)
+    })?;
+    let (at_tau, sojourn, series) = {
+        let mut span = nvp_obs::span("mrgp.class");
+        span.record("marking", k);
+        span.record("states", chain.sub.n_states());
+        isolated("subordinated class solve", k, || {
+            #[cfg(feature = "fault-inject")]
+            if solver_fault(budget, Site::SubordinatedTransient, 0)? {
+                let (mut at_tau, sojourn, series) = solve_chain(&chain)?;
+                at_tau[0] = f64::NAN;
+                return Ok((at_tau, sojourn, series));
+            }
+            solve_chain(&chain)
+        })?
+    };
+    Ok(SolvedRow {
+        entries: assemble_row(graph, &chain, &at_tau, &sojourn),
+        states: chain.sub.n_states(),
+        series,
+    })
+}
+
+/// Runs `f` under `catch_unwind`: a panic becomes
+/// [`MrgpError::WorkerPanicked`] naming `site`, and a `panic_caught` event
+/// naming `site` and `marking`.
+///
+/// `AssertUnwindSafe` is justified: a caught panic fails the solve, so
+/// whatever `f` left half-built is discarded.
+fn isolated<T>(site: &'static str, marking: usize, f: impl FnOnce() -> Result<T>) -> Result<T> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
         nvp_obs::event_with("panic_caught", || {
-            vec![
-                ("site", "subordinated chain build".into()),
-                ("marking", k.into()),
-            ]
+            vec![("site", site.into()), ("marking", marking.into())]
         });
         Err(MrgpError::WorkerPanicked {
-            site: "subordinated chain build",
+            site,
             payload: panic_payload(payload),
         })
     })
 }
 
+/// Where a marking sits in a subordinated chain under construction.
+#[derive(Clone, Copy)]
+enum Local {
+    Unseen,
+    /// Transient local state index.
+    Transient(usize),
+    /// Absorbing state index, counted from the first absorbing state.
+    Absorbing(usize),
+}
+
 /// Builds the subordinated CTMC for marking `k`, which enables exactly one
 /// deterministic transition: BFS over the markings reachable through
 /// exponential firings while that transition stays enabled (markings that
-/// disable it are absorbing — regeneration on entry), then the chain and its
-/// structural fingerprint.
-fn build_subordinated(
-    graph: &TangibleReachGraph,
-    k: usize,
-    stats: &mut MrgpStats,
-) -> Result<SubordinatedChain> {
+/// disable it are absorbing — regeneration on entry), then the chain.
+fn build_subordinated(graph: &TangibleReachGraph, k: usize) -> Result<SubordinatedChain> {
     let states = graph.states();
     let det = &states[k].deterministic[0];
     let det_transition = det.transition;
     let tau = det.value;
 
     // BFS over markings where `det_transition` remains enabled with the same
-    // delay. `local` maps global marking index -> subordinated state index.
-    let mut local: HashMap<usize, usize> = HashMap::new();
+    // delay. `local` maps global marking index -> subordinated state: one
+    // dense allocation per chain rather than hash maps that regrow on the
+    // worker threads building the chains (see DESIGN.md, "Solver hot path").
+    let mut local = vec![Local::Unseen; states.len()];
     let mut members: Vec<usize> = Vec::new(); // transient subordinated states
-    let mut absorbing: HashMap<usize, usize> = HashMap::new(); // global -> local
     let mut absorbing_members: Vec<usize> = Vec::new();
-    local.insert(k, 0);
+    local[k] = Local::Transient(0);
     members.push(k);
     let mut frontier = vec![k];
     while let Some(g) = frontier.pop() {
@@ -692,7 +640,7 @@ fn build_subordinated(
                 if arc.value * p <= 0.0 {
                     continue;
                 }
-                if local.contains_key(&to) || absorbing.contains_key(&to) {
+                if !matches!(local[to], Local::Unseen) {
                     continue;
                 }
                 let to_det = states[to]
@@ -708,14 +656,12 @@ fn build_subordinated(
                                 actual: d.value,
                             });
                         }
-                        let idx = members.len();
-                        local.insert(to, idx);
+                        local[to] = Local::Transient(members.len());
                         members.push(to);
                         frontier.push(to);
                     }
                     None => {
-                        let idx = absorbing_members.len();
-                        absorbing.insert(to, idx);
+                        local[to] = Local::Absorbing(absorbing_members.len());
                         absorbing_members.push(to);
                     }
                 }
@@ -723,16 +669,9 @@ fn build_subordinated(
         }
     }
 
-    // Subordinated CTMC: transient states first, then absorbing states. The
-    // fingerprint records the exact construction sequence, so equal keys
-    // guarantee bitwise-equal chains.
+    // Subordinated CTMC: transient states first, then absorbing states.
     let n_trans = members.len();
-    let n_total = n_trans + absorbing_members.len();
-    stats.subordinated_chains += 1;
-    stats.max_subordinated_states = stats.max_subordinated_states.max(n_total);
-    stats.total_subordinated_states += n_total;
-    let mut sub = Ctmc::new(n_total);
-    let mut edges: Vec<(usize, usize, u64)> = Vec::new();
+    let mut sub = Ctmc::new(n_trans + absorbing_members.len());
     for (s_local, &s_global) in members.iter().enumerate() {
         for arc in &states[s_global].exponential {
             for &(to, p) in arc.targets.entries() {
@@ -740,101 +679,47 @@ fn build_subordinated(
                 if rate <= 0.0 {
                     continue;
                 }
-                let target_local = if let Some(&t) = local.get(&to) {
-                    t
-                } else {
-                    n_trans + absorbing[&to]
+                let target_local = match local[to] {
+                    Local::Transient(t) => t,
+                    Local::Absorbing(a) => n_trans + a,
+                    Local::Unseen => unreachable!("the BFS visited every positive-rate target"),
                 };
                 if target_local == s_local {
                     continue; // self-loop: no effect
                 }
                 sub.add_rate(s_local, target_local, rate)?;
-                edges.push((s_local, target_local, rate.to_bits()));
             }
         }
     }
-    let key = ChainClassKey {
-        tau_bits: tau.to_bits(),
-        n_trans,
-        n_total,
-        transitions: edges,
-    };
     Ok(SubordinatedChain {
-        k,
         det_transition,
         tau,
         members,
         absorbing_members,
         sub,
-        key,
     })
 }
 
-/// [`class_solution`] wrapped in `catch_unwind`, mirroring the historical
-/// per-row isolation: a panic inside one class's shared solve becomes
-/// [`MrgpError::WorkerPanicked`] for that class — failing the solve with a
-/// typed error — instead of unwinding through the fan-out's scoped workers
-/// and aborting the whole process. `budget` is checked before the solve
-/// starts, and carries the `SubordinatedTransient` fault plan.
-fn class_solution_isolated(
-    chain: &SubordinatedChain,
-    budget: &SolveBudget,
-) -> Result<ClassSolution> {
-    budget.check("subordinated chain solve")?;
-    // One span per class solve, opened on the thread that runs it, so a
-    // trace shows which worker handled which equivalence class.
-    let mut span = nvp_obs::span("mrgp.class");
-    span.record("representative", chain.k);
-    span.record("states", chain.sub.n_states());
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        #[cfg(feature = "fault-inject")]
-        if solver_fault(budget, Site::SubordinatedTransient, 0)? {
-            let mut poisoned = class_solution(chain)?;
-            poisoned.at_tau[0] = f64::NAN;
-            return Ok(poisoned);
-        }
-        class_solution(chain)
-    }))
-    .unwrap_or_else(|payload| {
-        nvp_obs::event_with("panic_caught", || {
-            vec![
-                ("site", "subordinated class solve".into()),
-                ("marking", chain.k.into()),
-            ]
-        });
-        Err(MrgpError::WorkerPanicked {
-            site: "subordinated class solve",
-            payload: panic_payload(payload),
-        })
-    })
-}
-
-/// Solves one class representative's chain: transient distribution and
-/// accumulated sojourn at `tau` in a single fused uniformization pass,
-/// keeping the series diagnostics: the truncation depth it *actually* used
-/// (not a recomputed estimate) and whether steady-state detection fired.
-fn class_solution(chain: &SubordinatedChain) -> Result<ClassSolution> {
+/// Solves `chain` from its subordinating marking: transient distribution and
+/// accumulated sojourn at `tau`, over local state indices, in a single fused
+/// uniformization pass, keeping the series diagnostics: the truncation depth
+/// it *actually* used (not a recomputed estimate) and whether steady-state
+/// detection fired.
+fn solve_chain(chain: &SubordinatedChain) -> Result<(Vec<f64>, Vec<f64>, TransientStats)> {
     let mut pi0 = vec![0.0; chain.sub.n_states()];
-    pi0[0] = 1.0; // every member starts in its own marking = local state 0
-    let (at_tau, sojourn, series) =
-        chain
-            .sub
-            .transient_and_sojourn(&pi0, chain.tau, UNIFORMIZATION_EPS)?;
-    Ok(ClassSolution {
-        at_tau,
-        sojourn,
-        series,
-    })
+    pi0[0] = 1.0; // the period starts in the marking itself = local state 0
+    Ok(chain
+        .sub
+        .transient_and_sojourn(&pi0, chain.tau, UNIFORMIZATION_EPS)?)
 }
 
-/// Maps a class solution back to one member's embedded-chain row and
-/// conversion factors. Pure per-member arithmetic — identical to what the
-/// historical per-row solve computed from its own (bit-identical) transient
-/// and sojourn vectors.
+/// Maps a chain's transient distribution and accumulated sojourn at `tau`
+/// to its marking's embedded-chain row and conversion factors.
 fn assemble_row(
     graph: &TangibleReachGraph,
     chain: &SubordinatedChain,
-    sol: &ClassSolution,
+    at_tau: &[f64],
+    sojourn: &[f64],
 ) -> RowAndConversion {
     let states = graph.states();
     let n_trans = chain.members.len();
@@ -843,13 +728,13 @@ fn assemble_row(
     // whatever transient marking it reached.
     let mut row: Vec<(usize, f64)> = Vec::new();
     for (a_local, &a_global) in chain.absorbing_members.iter().enumerate() {
-        let p = sol.at_tau[n_trans + a_local];
+        let p = at_tau[n_trans + a_local];
         if p > 0.0 {
             row.push((a_global, p));
         }
     }
     for (s_local, &s_global) in chain.members.iter().enumerate() {
-        let p_here = sol.at_tau[s_local];
+        let p_here = at_tau[s_local];
         if p_here <= 0.0 {
             continue;
         }
@@ -869,7 +754,7 @@ fn assemble_row(
         .iter()
         .enumerate()
         .filter_map(|(s_local, &s_global)| {
-            let t = sol.sojourn[s_local];
+            let t = sojourn[s_local];
             (t > 0.0).then_some((s_global, t))
         })
         .collect();
@@ -1056,7 +941,7 @@ mod tests {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// `options` with a plan armed on its budget that fails every class
+    /// `options` with a plan armed on its budget that fails every chain
     /// solve with `mode`.
     #[cfg(feature = "fault-inject")]
     fn with_fault(options: &SolveOptions, mode: FaultMode) -> SolveOptions {
@@ -1093,75 +978,6 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// A ring of `positions` places with one circulating token and a no-op
-    /// deterministic clock enabled everywhere. Every hop carries the same
-    /// rate, so every marking's subordinated chain has the exact same local
-    /// structure: dedup collapses the whole row stage to one class solve.
-    fn ring_net(positions: usize, rate: f64, tau: f64) -> PetriNet {
-        let mut b = NetBuilder::new("ring");
-        let places: Vec<_> = (0..positions)
-            .map(|i| b.place(format!("P{i}"), u32::from(i == 0)))
-            .collect();
-        let clk = b.place("Clk", 1);
-        for i in 0..positions {
-            b.transition(format!("hop{i}"), TransitionKind::exponential_rate(rate))
-                .unwrap()
-                .input(places[i], 1)
-                .output(places[(i + 1) % positions], 1);
-        }
-        b.transition("clock", TransitionKind::deterministic_delay(tau))
-            .unwrap()
-            .input(clk, 1)
-            .output(clk, 1);
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn structural_dedup_collapses_identical_chains() {
-        let net = ring_net(5, 0.9, 2.0);
-        let graph = explore(&net, 100).unwrap();
-        let on = SolveOptions {
-            jobs: Jobs::Fixed(1),
-            ..SolveOptions::default()
-        };
-        let (pooled, pooled_stats) = steady_state_with_options(&graph, &on).unwrap();
-        assert_eq!(pooled_stats.subordinated_chains, 5);
-        assert_eq!(
-            pooled_stats.dedup_classes, 1,
-            "all five chains share one structure: {pooled_stats:?}"
-        );
-        assert_eq!(pooled_stats.dedup_hits, 4);
-        let off = SolveOptions {
-            jobs: Jobs::Fixed(1),
-            dedup: false,
-            ..SolveOptions::default()
-        };
-        let (per_row, per_row_stats) = steady_state_with_options(&graph, &off).unwrap();
-        assert_eq!(per_row_stats.dedup_classes, 5, "dedup off: class per chain");
-        assert_eq!(per_row_stats.dedup_hits, 0);
-        let identical = pooled
-            .probabilities()
-            .iter()
-            .zip(per_row.probabilities())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(
-            identical,
-            "shared class solutions must be bit-identical to per-row solves: {:?} vs {:?}",
-            pooled.probabilities(),
-            per_row.probabilities()
-        );
-        // Symmetry: the token is uniform over the ring.
-        for p in pooled.probabilities() {
-            assert!((p - 0.2).abs() < 1e-9, "{:?}", pooled.probabilities());
-        }
-        // The counters the truncation depth comes from are the ones the
-        // solve actually used, so they agree across the two paths.
-        assert_eq!(
-            pooled_stats.max_truncation_steps,
-            per_row_stats.max_truncation_steps
-        );
-    }
-
     #[test]
     fn steady_state_detection_shortens_long_horizon_solves() {
         // Up enables a tau = 300 maintenance clock while failing at rate 1
@@ -1195,10 +1011,10 @@ mod tests {
         let net = b.build().unwrap();
         let graph = explore(&net, 100).unwrap();
         let (_, stats) = steady_state_with_stats(&graph).unwrap();
-        assert_eq!(stats.dedup_classes, 1);
+        assert_eq!(stats.subordinated_chains, 1);
         assert_eq!(
             stats.steady_state_detections, 1,
-            "the one class solve must detect stationarity: {stats:?}"
+            "the one chain solve must detect stationarity: {stats:?}"
         );
         // Full series length for this chain's uniformization rate
         // (max exit = lambda, so the uniformized rate is 1.02 * lambda).
@@ -1214,17 +1030,17 @@ mod tests {
         );
     }
 
-    /// A panic injected into the shared class solve must degrade exactly
-    /// that class — surfacing as a typed error naming the class-solve site —
-    /// while the process (and subsequent solves) stay healthy.
+    /// A panic injected into a chain solve on the worker threads must
+    /// surface as a typed error naming the class-solve site, while the
+    /// process (and subsequent solves) stay healthy.
     #[cfg(feature = "fault-inject")]
     #[test]
-    fn injected_panic_in_shared_class_solve_is_isolated() {
+    fn injected_panic_in_a_parallel_row_solve_is_isolated() {
         let _lock = pool_test_lock();
         let pool = WorkerPool::global();
         pool.set_capacity(pool.capacity().max(4));
-        let net = ring_net(5, 0.9, 2.0);
-        let graph = explore(&net, 100).unwrap();
+        let net = drift_reset_net(5);
+        let graph = explore(&net, 1000).unwrap();
         let opts = SolveOptions {
             jobs: Jobs::Fixed(4),
             ..SolveOptions::default()
@@ -1236,7 +1052,7 @@ mod tests {
             other => panic!("expected WorkerPanicked, got {other:?}"),
         }
         // Without the plan, the same options solve cleanly: the panic was
-        // contained to the one class solve, not the process.
+        // contained to the row solves, not the process.
         let (sol, _) = steady_state_with_options(&graph, &opts).unwrap();
         assert!((sol.probabilities().iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
@@ -1281,7 +1097,7 @@ mod tests {
             // were available and the row stage really ran multi-threaded.
             assert!(stats.workers_used >= 2, "jobs = {jobs}: {stats:?}");
             assert_eq!(stats.parallel_rows, 6, "jobs = {jobs}");
-            // Per-worker stat merges reproduce the serial counters exactly.
+            // Stats folded in marking order reproduce the serial counters.
             assert_eq!(stats.subordinated_chains, serial_stats.subordinated_chains);
             assert_eq!(
                 stats.total_subordinated_states,
@@ -1853,8 +1669,8 @@ mod tests {
             );
             match steady_state_with_options(&graph, &options) {
                 Err(MrgpError::WorkerPanicked { site, payload }) => {
-                    // The transient solve now runs once per structural
-                    // class, so the panic is caught at the class boundary.
+                    // The panic fires inside the chain solve, so it is
+                    // caught at the solve's boundary, not the build's.
                     assert_eq!(site, "subordinated class solve");
                     assert!(payload.contains("injected panic"), "payload: {payload}");
                 }

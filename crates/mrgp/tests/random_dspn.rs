@@ -55,10 +55,8 @@ fn maintenance_net(lambda: f64, mu: f64, delta: f64, tau: f64) -> PetriNet {
 }
 
 /// A ring of `positions` places with one circulating token (hop `i` fires at
-/// `rates[i]`) and a no-op deterministic clock enabled in every marking.
-/// With equal hop rates every marking's subordinated chain is structurally
-/// identical; with distinct rates the chains differ and dedup must not
-/// conflate them.
+/// `rates[i]`) and a no-op deterministic clock enabled in every marking, so
+/// every marking owns a subordinated chain.
 fn ring_net(rates: &[f64], tau: f64) -> PetriNet {
     let positions = rates.len();
     let mut b = NetBuilder::new("ring");
@@ -146,12 +144,10 @@ proptest! {
         prop_assert!(sol.probabilities().iter().all(|&p| p >= 0.0));
     }
 
-    /// On random ring DSPNs the dedup path must be bit-identical to the
-    /// per-row path, serial and parallel alike, and the class accounting
-    /// must add up: classes + hits = chains, with equal hop rates collapsing
-    /// everything into one class.
+    /// On random ring DSPNs the row stage gives bit-identical answers and
+    /// counters on one worker and on four.
     #[test]
-    fn ring_dedup_is_bit_identical_to_per_row(
+    fn ring_rows_are_bit_identical_across_worker_counts(
         positions in 2usize..6,
         base_rate in 0.05..4.0f64,
         jitter in proptest::collection::vec(0.1..2.0f64, 5),
@@ -163,45 +159,30 @@ proptest! {
             .collect();
         let net = ring_net(&rates, tau);
         let graph = explore(&net, 100).unwrap();
-        // The reference: dedup off, strictly serial — the historical
-        // chain-per-marking path.
-        let reference_opts = SolveOptions {
-            jobs: Jobs::Fixed(1),
-            dedup: false,
-            ..SolveOptions::default()
-        };
-        let (reference, reference_stats) =
-            steady_state_with_options(&graph, &reference_opts).unwrap();
-        prop_assert_eq!(reference_stats.dedup_classes, positions);
-        prop_assert_eq!(reference_stats.dedup_hits, 0);
-        WorkerPool::global().set_capacity(WorkerPool::global().capacity().max(4));
-        for jobs in [Jobs::Fixed(1), Jobs::Fixed(4)] {
+        let solve = |jobs| {
             let opts = SolveOptions { jobs, ..SolveOptions::default() };
-            let (dedup, stats) = steady_state_with_options(&graph, &opts).unwrap();
-            for (i, (a, b)) in reference
-                .probabilities()
-                .iter()
-                .zip(dedup.probabilities())
-                .enumerate()
-            {
-                prop_assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "marking {} differs under {}: {} vs {}",
-                    i, jobs, a, b
-                );
-            }
-            prop_assert_eq!(stats.subordinated_chains, positions);
-            prop_assert_eq!(
-                stats.dedup_classes + stats.dedup_hits,
-                stats.subordinated_chains
-            );
-            if equal_rates {
-                prop_assert_eq!(
-                    stats.dedup_classes, 1,
-                    "equal hop rates make every chain structurally identical"
-                );
+            steady_state_with_options(&graph, &opts).unwrap()
+        };
+        let (serial, serial_stats) = solve(Jobs::Fixed(1));
+        prop_assert_eq!(serial_stats.subordinated_chains, positions);
+        WorkerPool::global().set_capacity(WorkerPool::global().capacity().max(4));
+        let (parallel, stats) = solve(Jobs::Fixed(4));
+        for (i, (a, b)) in serial
+            .probabilities()
+            .iter()
+            .zip(parallel.probabilities())
+            .enumerate()
+        {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "marking {} differs: {} vs {}", i, a, b);
+        }
+        if equal_rates {
+            // Symmetry: the token is uniform over the ring.
+            for p in serial.probabilities() {
+                prop_assert!((p * positions as f64 - 1.0).abs() < 1e-9, "{:?}", serial);
             }
         }
+        prop_assert_eq!(stats.subordinated_chains, positions);
+        prop_assert_eq!(stats.max_truncation_steps, serial_stats.max_truncation_steps);
+        prop_assert_eq!(stats.steady_state_detections, serial_stats.steady_state_detections);
     }
 }

@@ -101,11 +101,6 @@ impl SolveBudget {
         self.faults.as_ref()?.fault(site)
     }
 
-    /// `true` if no deadline or cancellation flag is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.cancel.is_empty()
-    }
-
     /// `true` if a supervisor has set any of this budget's cancellation
     /// flags.
     pub fn is_cancelled(&self) -> bool {
@@ -152,7 +147,6 @@ mod tests {
     #[test]
     fn unlimited_budget_never_trips() {
         let b = SolveBudget::unlimited();
-        assert!(b.is_unlimited());
         for _ in 0..1000 {
             assert!(b.check("loop").is_ok());
         }
@@ -174,14 +168,12 @@ mod tests {
     fn generous_budget_does_not_trip_immediately() {
         let b = SolveBudget::with_wall_clock_ms(60_000);
         assert!(b.check("fast stage").is_ok());
-        assert!(!b.is_unlimited());
     }
 
     #[test]
     fn cancellation_flag_trips_check_with_a_typed_error() {
         let flag = Arc::new(AtomicBool::new(false));
         let b = SolveBudget::unlimited().with_cancel(flag.clone());
-        assert!(!b.is_unlimited());
         assert!(!b.is_cancelled());
         assert!(b.check("row stage").is_ok());
         flag.store(true, Ordering::Relaxed);

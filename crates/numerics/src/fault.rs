@@ -82,10 +82,10 @@ pub enum Site {
     /// Dense LU stationary solves (`ctmc::steady_state_dense`,
     /// `dtmc::stationary_dense`).
     DenseStationary,
-    /// Damped power iteration (`sparse::stationary_power`).
+    /// Damped power iteration (`sparse::stationary_power_with`).
     PowerIteration,
     /// The MRGP row stage's subordinated-chain transient solves (one per
-    /// structural class, in `nvp-mrgp`) — the work that runs on worker
+    /// deterministic marking, in `nvp-mrgp`) — the work that runs on worker
     /// threads.
     SubordinatedTransient,
     /// Persistent solve-store record writes (the engine's save path).

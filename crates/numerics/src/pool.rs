@@ -2,7 +2,7 @@
 //!
 //! Two layers of this workspace parallelize independently: the analysis
 //! engine fans a sweep's grid points out over threads, and the MRGP solver
-//! fans the subordinated-chain class solves of a single solve out over
+//! fans the subordinated-chain row solves of a single solve out over
 //! threads. Both go through [`WorkerPool::run_indexed`]: it runs one task
 //! per index on the calling thread plus however many scoped workers the
 //! pool grants, and returns the results in index order.
@@ -65,16 +65,21 @@ pub enum Jobs {
     Fixed(usize),
 }
 
+/// The largest worker count [`Jobs::parse`] accepts. A fan-out spawns one
+/// OS thread per extra worker, and a thread the OS refuses is a panic, so an
+/// unbounded `--jobs` could ask for a hundred thousand threads.
+const MAX_JOBS: usize = 256;
+
 impl Jobs {
-    /// Parses a `--jobs` / `NVP_JOBS` style value: a positive integer, or
-    /// `auto`. Returns `None` for anything else (including `0`, which would
-    /// mean "no workers at all" — the calling thread always works).
+    /// Parses a `--jobs` / `NVP_JOBS` style value: an integer from 1 to 256,
+    /// or `auto`. Returns `None` for anything else (including `0`, which
+    /// would mean "no workers at all" — the calling thread always works).
     pub fn parse(s: &str) -> Option<Jobs> {
         if s.eq_ignore_ascii_case("auto") {
             return Some(Jobs::Auto);
         }
         match s.parse::<usize>() {
-            Ok(n) if n >= 1 => Some(Jobs::Fixed(n)),
+            Ok(n) if (1..=MAX_JOBS).contains(&n) => Some(Jobs::Fixed(n)),
             _ => None,
         }
     }
@@ -152,8 +157,8 @@ impl WorkerPool {
     }
 
     /// The process-wide pool both parallel layers draw from. Sized on first
-    /// use from the `NVP_JOBS` environment variable (a positive integer or
-    /// `auto`) or, when unset or malformed, from
+    /// use from the `NVP_JOBS` environment variable (a count [`Jobs::parse`]
+    /// accepts) or, when unset, malformed or over the cap, from
     /// [`std::thread::available_parallelism`].
     pub fn global() -> &'static WorkerPool {
         static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
@@ -355,7 +360,8 @@ impl WorkerPool {
     }
 
     /// Number of currently outstanding leases.
-    pub fn active_leases(&self) -> usize {
+    #[cfg(test)]
+    fn active_leases(&self) -> usize {
         self.lease_table().len()
     }
 
@@ -527,6 +533,13 @@ mod tests {
         assert_eq!(Jobs::parse("-2"), None);
         assert_eq!(Jobs::parse("many"), None);
         assert_eq!(Jobs::parse(""), None);
+    }
+
+    #[test]
+    fn jobs_parse_caps_the_worker_count() {
+        assert_eq!(Jobs::parse("256"), Some(Jobs::Fixed(MAX_JOBS)));
+        assert_eq!(Jobs::parse("257"), None);
+        assert_eq!(Jobs::parse("100000"), None);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::budget::SolveBudget;
 use crate::guard::{guard_probability_vector, DENSE_RENORMALIZATION_LIMIT};
-use crate::{NumericsError, Result, DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE};
+use crate::{NumericsError, Result};
 
 /// How many power-iteration steps run between wall-clock budget checks.
 const BUDGET_CHECK_INTERVAL: usize = 256;
@@ -248,7 +248,9 @@ pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
 /// `Σ π = 1`) by power iteration.
 ///
 /// `p` must be row-stochastic. Convergence is declared when the L1 change
-/// between successive iterates drops below `tol`.
+/// between successive iterates drops below `tol`. The budget's wall-clock
+/// deadline is checked every few hundred iterations so a runaway solve on a
+/// huge or pathological chain stops cleanly.
 ///
 /// # Errors
 ///
@@ -256,19 +258,7 @@ pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
 /// * [`NumericsError::NoConvergence`] if the iteration budget is exhausted —
 ///   this typically means the chain is periodic; callers should fall back to a
 ///   direct solve.
-pub fn stationary_power(p: &CsrMatrix, tol: f64, max_iter: usize) -> Result<Vec<f64>> {
-    stationary_power_with(p, tol, max_iter, &SolveBudget::unlimited())
-}
-
-/// [`stationary_power`] with a [`SolveBudget`]: the wall-clock deadline is
-/// checked every few hundred iterations so a runaway solve on a huge or
-/// pathological chain stops cleanly.
-///
-/// # Errors
-///
-/// As [`stationary_power`], plus:
-///
-/// * [`NumericsError::BudgetExceeded`] when the budget's deadline passes,
+/// * [`NumericsError::BudgetExceeded`] when the budget's deadline passes.
 /// * [`NumericsError::InvalidProbabilities`] if the iterate degenerates into
 ///   non-finite values (e.g. NaN poisoning upstream).
 pub fn stationary_power_with(
@@ -348,18 +338,20 @@ pub fn stationary_power_with(
     })
 }
 
-/// Convenience wrapper around [`stationary_power`] with default tolerances.
-///
-/// # Errors
-///
-/// See [`stationary_power`].
-pub fn stationary(p: &CsrMatrix) -> Result<Vec<f64>> {
-    stationary_power(p, DEFAULT_TOLERANCE, DEFAULT_MAX_ITERATIONS)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE};
+
+    /// Power iteration with the default tolerances and no deadline.
+    fn stationary(p: &CsrMatrix) -> Result<Vec<f64>> {
+        stationary_power_with(
+            p,
+            DEFAULT_TOLERANCE,
+            DEFAULT_MAX_ITERATIONS,
+            &SolveBudget::unlimited(),
+        )
+    }
 
     fn two_state_chain() -> CsrMatrix {
         // P = [[0.9, 0.1], [0.5, 0.5]] -> pi = (5/6, 1/6)
@@ -516,7 +508,7 @@ mod tests {
         b.push(1, 1, 0.5);
         let m = b.build();
         assert!(matches!(
-            stationary_power(&m, DEFAULT_TOLERANCE, 1000),
+            stationary_power_with(&m, DEFAULT_TOLERANCE, 1000, &SolveBudget::unlimited()),
             Err(NumericsError::InvalidProbabilities { .. })
         ));
     }

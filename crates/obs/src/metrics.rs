@@ -181,23 +181,6 @@ impl HistogramSnapshot {
             self.sum as f64 / self.count as f64
         }
     }
-
-    /// Upper bound of the smallest bucket such that at least `q` (0..=1) of
-    /// the samples fall at or below it. Returns 0 when empty.
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return bucket_upper_bound(i);
-            }
-        }
-        u64::MAX
-    }
 }
 
 #[derive(Clone)]
@@ -404,19 +387,6 @@ mod tests {
         assert_eq!(snap.buckets[1], 1); // 1
         assert_eq!(snap.buckets[2], 2); // 2, 3
         assert_eq!(snap.buckets[10], 1); // 1000
-    }
-
-    #[test]
-    fn quantile_upper_bound_walks_buckets() {
-        let h = Histogram::new();
-        for _ in 0..99 {
-            h.record(1);
-        }
-        h.record(1 << 20);
-        let snap = h.snapshot();
-        assert_eq!(snap.quantile_upper_bound(0.5), 1);
-        assert_eq!(snap.quantile_upper_bound(1.0), (1u64 << 21) - 1);
-        assert_eq!(HistogramSnapshot::empty().quantile_upper_bound(0.9), 0);
     }
 
     #[test]

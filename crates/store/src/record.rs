@@ -103,9 +103,11 @@ pub struct SolveRecord {
     pub max_truncation_steps: u64,
     /// Probability-guard interventions.
     pub guard_trips: u64,
-    /// Distinct subordinated-chain equivalence classes.
+    /// Subordinated chains solved; written equal to `subordinated_chains`
+    /// (older records counted structural equivalence classes here).
     pub dedup_classes: u64,
-    /// Solves answered from the dedup classes.
+    /// Written as 0 (older records counted chain solves shared with an
+    /// equivalent chain); kept so the record format does not change.
     pub dedup_hits: u64,
     /// Early steady-state detections during uniformization.
     pub steady_state_detections: u64,

@@ -1,7 +1,6 @@
 //! Parallel-vs-serial determinism: the MRGP row stage must produce a
-//! bit-identical [`SteadyState`] no matter how many workers it uses — and
-//! no matter whether subordinated-chain dedup pools structurally identical
-//! chains into shared class solves — for every model this repository ships:
+//! bit-identical [`SteadyState`] no matter how many workers it uses, for
+//! every model this repository ships:
 //! the paper's four- and six-version systems built programmatically, and
 //! both `.dspn` files in `models/`.
 
@@ -22,39 +21,36 @@ fn read_model(name: &str) -> PetriNet {
     parse_net(&text).unwrap()
 }
 
-fn solve(graph: &TangibleReachGraph, jobs: Jobs, dedup: bool) -> SteadyState {
+fn solve(graph: &TangibleReachGraph, jobs: Jobs) -> SteadyState {
     let options = SolveOptions {
         jobs,
-        dedup,
         ..SolveOptions::default()
     };
     steady_state_with_options(graph, &options).unwrap().0
 }
 
 fn assert_bit_identical(graph: &TangibleReachGraph, model: &str) {
-    // The reference: strictly serial, one chain solve per deterministic
-    // marking — the historical pre-dedup path.
-    let serial = solve(graph, Jobs::Fixed(1), false);
-    for jobs in [Jobs::Fixed(1), Jobs::Fixed(2), Jobs::Fixed(8)] {
-        for dedup in [false, true] {
-            let candidate = solve(graph, jobs, dedup);
+    // The reference: strictly serial, every row solved on the calling
+    // thread in marking order.
+    let serial = solve(graph, Jobs::Fixed(1));
+    for jobs in [Jobs::Fixed(2), Jobs::Fixed(8)] {
+        let candidate = solve(graph, jobs);
+        assert_eq!(
+            serial.probabilities().len(),
+            candidate.probabilities().len(),
+            "{model} with {jobs:?}"
+        );
+        for (i, (s, p)) in serial
+            .probabilities()
+            .iter()
+            .zip(candidate.probabilities())
+            .enumerate()
+        {
             assert_eq!(
-                serial.probabilities().len(),
-                candidate.probabilities().len(),
-                "{model} with {jobs:?}, dedup={dedup}"
+                s.to_bits(),
+                p.to_bits(),
+                "{model} with {jobs:?}: probability {i} differs ({s} vs {p})"
             );
-            for (i, (s, p)) in serial
-                .probabilities()
-                .iter()
-                .zip(candidate.probabilities())
-                .enumerate()
-            {
-                assert_eq!(
-                    s.to_bits(),
-                    p.to_bits(),
-                    "{model} with {jobs:?}, dedup={dedup}: probability {i} differs ({s} vs {p})"
-                );
-            }
         }
     }
 }
