@@ -265,7 +265,11 @@ impl ChainKey {
 /// steady-state vector (new uniformization scheme, different marking
 /// order, …): old records then simply stop matching any key and are
 /// overwritten, instead of serving stale bits as current results.
-pub const STORE_SOLVER_VERSION: u32 = 1;
+///
+/// Version 2: duplicate matrix entries are summed in insertion order (see
+/// `nvp_numerics::sparse`), not in whatever order an unstable sort left
+/// them, which moves the last bits of some steady states.
+pub const STORE_SOLVER_VERSION: u32 = 2;
 
 fn method_to_u8(method: SolveMethod) -> u8 {
     match method {

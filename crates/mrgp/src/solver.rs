@@ -10,7 +10,7 @@ use nvp_numerics::guard::{
     guard_probability_vector, DENSE_RENORMALIZATION_LIMIT, ESTIMATE_RENORMALIZATION_LIMIT,
 };
 use nvp_numerics::pool::{Jobs, WorkerPool};
-use nvp_numerics::sparse::CsrBuilder;
+use nvp_numerics::sparse::{CsrMatrix, SparseRow};
 use nvp_numerics::{
     panic_payload, stationary_backend_for, StationaryBackend, StationaryOptions,
     DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE,
@@ -389,66 +389,35 @@ fn solve_mrgp(
     let mut det_solved = det_solved.into_iter();
     // Embedded chain P (row-stochastic) and conversion factors C:
     // C[k][m] = expected time spent in marking m during a regeneration
-    // period that starts in marking k. Assembled in marking order, so the
-    // result is bit-identical however the rows were computed.
-    let mut emc = CsrBuilder::new(n, n);
-    let mut conversion: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-    for k in 0..n {
-        let state = &states[k];
-        if state.deterministic.is_empty() {
-            // Exponential race: regeneration at the first firing. Zero-rate
-            // arcs (marking-dependent rates evaluating to 0) cannot win the
-            // race and contribute neither to the total nor to the row.
-            let total: f64 = state
-                .exponential
-                .iter()
-                .filter(|a| a.value > 0.0)
-                .map(|a| a.value)
-                .sum();
-            let mut self_mass = 0.0;
-            for arc in &state.exponential {
-                if arc.value <= 0.0 {
-                    continue;
-                }
-                for &(to, p) in arc.targets.entries() {
-                    let prob = arc.value / total * p;
-                    if to == k {
-                        self_mass += prob;
-                    } else {
-                        emc.push(k, to, prob);
-                    }
-                }
-            }
-            if self_mass > 0.0 {
-                emc.push(k, k, self_mass);
-            }
-            conversion[k].push((k, 1.0 / total));
+    // period that starts in marking k. Both are assembled in marking order
+    // from compacted rows, so the result is bit-identical however the rows
+    // were computed.
+    let mut emc_rows = Vec::with_capacity(n);
+    let mut conversion_rows = Vec::with_capacity(n);
+    for (k, state) in states.iter().enumerate() {
+        let (row, conversion) = if state.deterministic.is_empty() {
+            race_row(state, k)
         } else {
-            let (row, conv) = det_solved
+            det_solved
                 .next()
-                .expect("one solved row per deterministic marking");
-            for (to, p) in row {
-                emc.push(k, to, p);
-            }
-            conversion[k] = conv;
-        }
+                .expect("one solved row per deterministic marking")
+        };
+        emc_rows.push(row);
+        conversion_rows.push(conversion);
     }
     let nu = {
         let mut emc_span = nvp_obs::span("mrgp.emc");
         emc_span.record("markings", n);
-        stationary_distribution_with(&emc.build(), &options.stationary())?
+        let emc = CsrMatrix::from_rows(n, emc_rows);
+        if !emc_span.is_inert() {
+            emc_span.record("nnz", emc.nnz());
+            emc_span.record("backend", stats.backend.to_string());
+        }
+        stationary_distribution_with(&emc, &options.stationary())?
     };
-    // Convert: pi(m) ∝ Σ_k nu(k) C[k][m].
-    let mut pi = vec![0.0; n];
-    for (k, conv) in conversion.iter().enumerate() {
-        let w = nu[k];
-        if w == 0.0 {
-            continue;
-        }
-        for &(m, time) in conv {
-            pi[m] += w * time;
-        }
-    }
+    // Convert: pi(m) ∝ Σ_k nu(k) C[k][m]. Each marking appears at most once
+    // per row of C, so every pi(m) sums its terms in marking order.
+    let mut pi = CsrMatrix::from_rows(n, conversion_rows).vecmat(&nu);
     let total: f64 = pi.iter().sum();
     if total <= 0.0 || total.is_nan() {
         return Err(MrgpError::Numerics(
@@ -468,6 +437,28 @@ fn solve_mrgp(
         stats.guard_trips += 1;
     }
     Ok(SteadyState { probabilities: pi })
+}
+
+/// The embedded-chain row and conversion factors of marking `k`, which
+/// enables no deterministic transition: an exponential race, with
+/// regeneration at the first firing. Zero-rate arcs (marking-dependent rates
+/// evaluating to 0) cannot win the race and contribute neither to the total
+/// nor to the row.
+fn race_row(state: &nvp_petri::reach::TangibleState, k: usize) -> (SparseRow, SparseRow) {
+    let live = || state.exponential.iter().filter(|a| a.value > 0.0);
+    let total: f64 = live().map(|a| a.value).sum();
+    let row = live()
+        .flat_map(|arc| {
+            arc.targets
+                .entries()
+                .iter()
+                .map(move |&(to, p)| (to, arc.value / total * p))
+        })
+        .collect();
+    (
+        SparseRow::compact(row),
+        SparseRow::compact(vec![(k, 1.0 / total)]),
+    )
 }
 
 /// Solves the embedded-chain row of every marking in `markings` (each of
@@ -513,9 +504,9 @@ fn solve_deterministic_rows(
     Ok(solved.into_iter().map(|row| row.entries).collect())
 }
 
-/// Embedded-chain row entries and conversion factors, both as sparse
-/// `(marking index, value)` lists.
-type RowAndConversion = (Vec<(usize, f64)>, Vec<(usize, f64)>);
+/// A marking's embedded-chain row and conversion factors, both compacted
+/// and indexed by marking.
+type RowAndConversion = (SparseRow, SparseRow);
 
 /// One deterministic marking's share of the row stage: its row and
 /// conversion factors, the state count of its subordinated CTMC, and the
@@ -748,7 +739,8 @@ fn assemble_row(
         }
     }
     // Conversion factors: expected time in each *transient* marking before
-    // regeneration (absorbing states belong to the next period).
+    // regeneration (absorbing states belong to the next period). Members
+    // are distinct markings, so no column repeats.
     let conv: Vec<(usize, f64)> = chain
         .members
         .iter()
@@ -758,7 +750,7 @@ fn assemble_row(
             (t > 0.0).then_some((s_global, t))
         })
         .collect();
-    (row, conv)
+    (SparseRow::compact(row), SparseRow::compact(conv))
 }
 
 #[cfg(test)]

@@ -2,7 +2,8 @@
 //!
 //! Reachability graphs of larger DSPNs (e.g. the generic N-version models
 //! with N ≥ 8 that `nvp-core` supports as an extension) produce sparse
-//! generators. This module provides a CSR representation built from triplets,
+//! generators. This module provides a CSR representation built from triplets
+//! or compacted rows (one rule for summing duplicate entries serves both),
 //! matrix-vector products in both orientations, and the iterative machinery
 //! (power iteration, Jacobi/Gauss–Seidel sweeps) used when direct dense
 //! factorization would be wasteful.
@@ -27,6 +28,8 @@ const BUDGET_CHECK_INTERVAL: usize = 256;
 /// let m = b.build();
 /// assert_eq!(m.matvec(&[1.0, 1.0]), vec![3.0, 4.0]);
 /// ```
+///
+/// or row by row from [`SparseRow`]s with [`CsrMatrix::from_rows`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
@@ -36,10 +39,77 @@ pub struct CsrMatrix {
     values: Vec<f64>,
 }
 
+/// Compacts one row's `(col, value)` entries in place and returns how many
+/// compacted entries now lead the slice.
+///
+/// This is the module's one summation rule, shared by [`CsrBuilder::build`]
+/// and [`SparseRow::compact`]: entries are sorted by column with a stable
+/// sort, each column's duplicates are summed left to right in insertion
+/// order, and a column whose sum is exactly `0.0` is dropped (a stored zero
+/// would inflate `nnz` and cost a multiply in every kernel). Insertion order
+/// is part of the contract: floating-point addition is not associative, so
+/// any other order could move the last bit of a sum.
+fn compact_in_place(entries: &mut [(usize, f64)]) -> usize {
+    entries.sort_by_key(|&(c, _)| c);
+    let mut kept = 0;
+    let mut i = 0;
+    while let Some(&(c, first)) = entries.get(i) {
+        let mut v = first;
+        i += 1;
+        while let Some(&(c2, v2)) = entries.get(i) {
+            if c2 != c {
+                break;
+            }
+            v += v2;
+            i += 1;
+        }
+        if v != 0.0 {
+            entries[kept] = (c, v);
+            kept += 1;
+        }
+    }
+    kept
+}
+
+/// One compacted matrix row: entries sorted by column, one per column, no
+/// zeros. [`CsrMatrix::from_rows`] assembles a matrix from a sequence of
+/// them.
+///
+/// Column indices are stored in four bytes, so a row held while others are
+/// still being solved costs 12 bytes per entry.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SparseRow {
+    cols: Vec<u32>,
+    values: Vec<f64>,
+}
+
+impl SparseRow {
+    /// Compacts `(col, value)` entries pushed in any order into a row, under
+    /// the same rule as [`CsrBuilder::build`]: zero entries are ignored,
+    /// duplicate columns are summed in insertion order, and columns summing
+    /// to exactly `0.0` are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column index does not fit in a `u32`.
+    pub fn compact(mut entries: Vec<(usize, f64)>) -> SparseRow {
+        entries.retain(|&(_, v)| v != 0.0);
+        let kept = compact_in_place(&mut entries);
+        let entries = &entries[..kept];
+        SparseRow {
+            cols: entries
+                .iter()
+                .map(|&(c, _)| u32::try_from(c).expect("column index fits in u32"))
+                .collect(),
+            values: entries.iter().map(|&(_, v)| v).collect(),
+        }
+    }
+}
+
 /// Incremental builder for [`CsrMatrix`].
 ///
 /// Entries may be pushed in any order; duplicate `(row, col)` entries are
-/// summed when the matrix is built.
+/// summed when the matrix is built, in the order they were pushed.
 #[derive(Debug, Clone)]
 pub struct CsrBuilder {
     rows: usize,
@@ -76,36 +146,44 @@ impl CsrBuilder {
 
     /// Finalizes the builder into a [`CsrMatrix`].
     ///
-    /// Duplicate `(row, col)` triplets are summed; groups that cancel to
-    /// exactly `0.0` are dropped entirely, matching the zero filtering
-    /// [`CsrBuilder::push`] applies to individual entries — an explicit
-    /// stored zero would inflate `nnz` and cost a multiply in every kernel.
-    pub fn build(mut self) -> CsrMatrix {
-        self.triplets.sort_unstable_by_key(|&(r, c, _)| (r, c));
-        let mut row_ptr = vec![0usize; self.rows + 1];
-        let mut col_idx = Vec::with_capacity(self.triplets.len());
-        let mut values: Vec<f64> = Vec::with_capacity(self.triplets.len());
-        let mut i = 0;
-        while let Some(&(r, c, first)) = self.triplets.get(i) {
-            // Sorted order guarantees duplicates are adjacent; accumulate
-            // the whole group before deciding whether it survives.
-            let mut v = first;
-            i += 1;
-            while let Some(&(r2, c2, v2)) = self.triplets.get(i) {
-                if (r2, c2) != (r, c) {
-                    break;
-                }
-                v += v2;
-                i += 1;
-            }
-            if v != 0.0 {
-                col_idx.push(c);
-                values.push(v);
-                row_ptr[r + 1] += 1;
-            }
+    /// The triplets are bucketed by row in push order, then each row is
+    /// compacted under the same rule as [`SparseRow::compact`]: duplicate
+    /// `(row, col)` triplets are summed in push order, and groups that
+    /// cancel to exactly `0.0` are dropped, matching the zero filtering
+    /// [`CsrBuilder::push`] applies to individual entries.
+    pub fn build(self) -> CsrMatrix {
+        // Counting sort by row: `start[r]..start[r + 1]` is row r's bucket,
+        // filled in push order.
+        let mut start = vec![0usize; self.rows + 1];
+        for &(r, _, _) in &self.triplets {
+            start[r + 1] += 1;
         }
         for r in 0..self.rows {
-            row_ptr[r + 1] += row_ptr[r];
+            start[r + 1] += start[r];
+        }
+        let mut fill = start.clone();
+        let mut bucketed = vec![(0usize, 0.0f64); self.triplets.len()];
+        for (r, c, v) in self.triplets {
+            bucketed[fill[r]] = (c, v);
+            fill[r] += 1;
+        }
+        drop(fill);
+        // Compact every bucket in place first, so the output is allocated
+        // at its exact size.
+        let mut row_ptr = vec![0usize; self.rows + 1];
+        for r in 0..self.rows {
+            let kept = compact_in_place(&mut bucketed[start[r]..start[r + 1]]);
+            row_ptr[r + 1] = row_ptr[r] + kept;
+        }
+        let nnz = row_ptr[self.rows];
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        for r in 0..self.rows {
+            let kept = row_ptr[r + 1] - row_ptr[r];
+            for &(c, v) in &bucketed[start[r]..start[r] + kept] {
+                col_idx.push(c);
+                values.push(v);
+            }
         }
         CsrMatrix {
             rows: self.rows,
@@ -118,6 +196,48 @@ impl CsrBuilder {
 }
 
 impl CsrMatrix {
+    /// Assembles a `rows.len() × cols` matrix from compacted rows, in order.
+    ///
+    /// The output arrays are allocated once, at their exact size, on the
+    /// calling thread, and each row is freed as soon as it has been copied:
+    /// no triplet list or intermediate copy exists beside the rows. Because
+    /// every row was compacted by [`SparseRow::compact`], the result is bitwise
+    /// equal to pushing the same entries, row by row, into a
+    /// [`CsrBuilder`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row holds a column `>= cols`.
+    pub fn from_rows(cols: usize, rows: Vec<SparseRow>) -> CsrMatrix {
+        let mut row_ptr = Vec::with_capacity(rows.len() + 1);
+        let mut nnz = 0;
+        row_ptr.push(nnz);
+        for row in &rows {
+            nnz += row.values.len();
+            row_ptr.push(nnz);
+        }
+        let n_rows = rows.len();
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        for row in rows {
+            if let Some(&last) = row.cols.last() {
+                assert!(
+                    (last as usize) < cols,
+                    "column {last} out of bounds for {cols} columns"
+                );
+            }
+            col_idx.extend(row.cols.iter().map(|&c| c as usize));
+            values.extend_from_slice(&row.values);
+        }
+        CsrMatrix {
+            rows: n_rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -371,6 +491,53 @@ mod tests {
         let m = b.build();
         assert_eq!(m.nnz(), 1);
         assert_eq!(m.matvec(&[0.0, 1.0]), vec![3.5]);
+    }
+
+    /// Three duplicates whose floating-point sum depends on the order of
+    /// the additions: both constructors must sum them in insertion order,
+    /// wherever other columns' entries fall between them.
+    #[test]
+    fn duplicates_are_summed_in_insertion_order() {
+        let forward: f64 = (0.1 + 0.2) + 0.3;
+        let backward: f64 = (0.3 + 0.2) + 0.1;
+        assert_ne!(
+            forward.to_bits(),
+            backward.to_bits(),
+            "sum must depend on order"
+        );
+        for (values, expected) in [([0.1, 0.2, 0.3], forward), ([0.3, 0.2, 0.1], backward)] {
+            let entries = vec![
+                (2, values[0]),
+                (0, 1.0),
+                (2, values[1]),
+                (3, 4.0),
+                (2, values[2]),
+            ];
+            let mut b = CsrBuilder::new(1, 4);
+            for &(c, v) in &entries {
+                b.push(0, c, v);
+            }
+            let built = b.build();
+            let assembled = CsrMatrix::from_rows(4, vec![SparseRow::compact(entries)]);
+            for m in [&built, &assembled] {
+                let row: Vec<(usize, u64)> =
+                    m.row_entries(0).map(|(c, v)| (c, v.to_bits())).collect();
+                assert_eq!(
+                    row,
+                    vec![
+                        (0, 1.0f64.to_bits()),
+                        (2, expected.to_bits()),
+                        (3, 4.0f64.to_bits())
+                    ]
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "column 3 out of bounds for 3 columns")]
+    fn from_rows_rejects_out_of_bounds_columns() {
+        CsrMatrix::from_rows(3, vec![SparseRow::compact(vec![(3, 1.0)])]);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use nvp_numerics::ctmc::Ctmc;
 use nvp_numerics::dense::DenseMatrix;
 use nvp_numerics::poisson::poisson_weights;
+use nvp_numerics::sparse::{CsrBuilder, CsrMatrix, SparseRow};
 use proptest::prelude::*;
 
 /// Strategy: a random irreducible-ish CTMC over `n` states built from a
@@ -29,8 +30,46 @@ fn arb_ctmc() -> impl Strategy<Value = Ctmc> {
         })
 }
 
+/// Strategy: `(rows, cols, entries per row)` with few columns, so most rows
+/// repeat columns, and values of mixed sign and magnitude, so the sums of
+/// duplicates depend on the order of the additions and some cancel.
+fn arb_rows() -> impl Strategy<Value = (usize, Vec<Vec<(usize, f64)>>)> {
+    (1usize..6, 1usize..8).prop_flat_map(|(cols, rows)| {
+        let value = prop_oneof![-1e3..1e3f64, 0.0..1e-3f64, Just(0.0), Just(1.0), Just(-1.0)];
+        let entry = (0..cols, value);
+        let row = prop::collection::vec(entry, 0..12);
+        (Just(cols), prop::collection::vec(row, rows))
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The row constructor and the triplet builder share one summation
+    /// rule: entries pushed row by row give bitwise-equal matrices.
+    #[test]
+    fn row_constructor_matches_builder_bitwise(shape in arb_rows()) {
+        let (cols, rows) = shape;
+        let mut b = CsrBuilder::new(rows.len(), cols);
+        for (r, row) in rows.iter().enumerate() {
+            for &(c, v) in row {
+                b.push(r, c, v);
+            }
+        }
+        let built = b.build();
+        let assembled = CsrMatrix::from_rows(
+            cols,
+            rows.iter().cloned().map(SparseRow::compact).collect(),
+        );
+        prop_assert_eq!(built.nnz(), assembled.nnz());
+        for r in 0..rows.len() {
+            let bits = |m: &CsrMatrix| -> Vec<(usize, u64)> {
+                m.row_entries(r).map(|(c, v)| (c, v.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&built), bits(&assembled), "row {}", r);
+            prop_assert!(built.row_entries(r).all(|(_, v)| v != 0.0));
+        }
+    }
 
     /// The steady state of any irreducible chain is a distribution solving
     /// pi Q = 0.

@@ -29,8 +29,11 @@ impl Distribution {
     }
 
     /// Merges duplicate targets and drops zero-probability entries.
+    /// Duplicates are summed in insertion order (the sort is stable), the
+    /// rule `nvp_numerics::sparse` follows, so no bit depends on how an
+    /// unstable sort orders equal keys.
     fn normalize(mut entries: Vec<(usize, f64)>) -> Distribution {
-        entries.sort_unstable_by_key(|&(i, _)| i);
+        entries.sort_by_key(|&(i, _)| i);
         let mut merged: Vec<(usize, f64)> = Vec::with_capacity(entries.len());
         for (i, p) in entries {
             if p == 0.0 {
