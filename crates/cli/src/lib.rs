@@ -130,9 +130,9 @@ USAGE:
       crash or kill, rerunning with --resume replays the journal and solves
       only the missing points — the final CSV is byte-identical to an
       uninterrupted run. --retries N retries a grid point after a caught
-      worker panic or watchdog cancellation (default 1);
-      --point-deadline-ms arms a watchdog that cancels and retries any
-      point overstaying its deadline.
+      worker panic or a missed point deadline (default 1);
+      --point-deadline-ms MS cancels a grid point at its first solver
+      budget check more than MS after the attempt started, then retries it.
       If the primary solver fails, analyze/sweep fall back to an alternate
       backend and then to Monte Carlo; a degraded (fallback) result prints a
       WARNING and the process exits with code 2 instead of 0.
@@ -174,8 +174,10 @@ USAGE:
       results are 200s carrying the WARNING in the body; 429 + Retry-After
       signals a starved worker pool. --budget-ms, --retries and
       --point-deadline-ms set engine-level defaults (a request budget_ms
-      can only tighten the deadline); --job-deadline-ms gives jobs
-      submitted without their own budget_ms a server-side default deadline
+      can only tighten the deadline; the point deadline cancels and
+      retries an overdue sweep point, as for nvp sweep, and does not apply
+      to analyze jobs); --job-deadline-ms gives jobs submitted without
+      their own budget_ms a server-side default deadline
       (off by default, for CLI parity); --cache-dir shares one persistent
       solve store across all clients and restarts.
       --max-cache-entries / --max-cache-bytes bound the in-memory chain

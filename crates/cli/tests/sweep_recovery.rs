@@ -173,13 +173,13 @@ fn an_injected_panic_degrades_one_point_and_exits_two() {
 
 #[cfg(feature = "fault-inject")]
 #[test]
-fn a_stalled_point_is_rejuvenated_by_the_watchdog() {
+fn a_stalled_point_is_cancelled_at_its_deadline() {
     let dir = temp_dir("stall");
     let out = dir.join("sweep.csv");
     // Every subordinated transient stalls 50 ms against a 10 ms deadline:
-    // the watchdog cancels the point, the retry stalls out identically, and
-    // the sweep fails with the supervisor's typed error — exit 1, not a
-    // hang and not a panic.
+    // the budget check after the stall cancels the point, the retry stalls
+    // out identically, and the sweep fails with the supervisor's typed
+    // error — exit 1, not a hang and not a panic.
     let output = nvp()
         .args([
             "sweep",

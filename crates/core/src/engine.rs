@@ -65,7 +65,7 @@ use std::time::{Duration, Instant};
 pub const RELAXED_TOLERANCE: f64 = 1e-8;
 
 /// Default number of times a supervised grid-point solve is retried after a
-/// retryable failure (worker panic or watchdog cancellation) before the
+/// retryable failure (worker panic or the point's deadline) before the
 /// failure is reported. See [`AnalysisEngine::with_retries`].
 pub const DEFAULT_RETRIES: u32 = 1;
 
@@ -476,8 +476,9 @@ pub struct SolverStats {
     /// Worker panics caught by the supervision layer (solver-level and
     /// engine-level) instead of unwinding the process (lifetime total).
     pub worker_panics: u64,
-    /// Supervised solves cancelled by the worker-pool watchdog for
-    /// overstaying their point deadline (lifetime total).
+    /// Supervised solve attempts cancelled for overstaying their point
+    /// deadline (lifetime total; see
+    /// [`AnalysisEngine::with_point_deadline_ms`]).
     pub rejuvenations: u64,
     /// Supervised retry attempts taken after retryable failures (lifetime
     /// total).
@@ -779,9 +780,9 @@ pub struct AnalysisEngine {
     /// Monotone logical clock stamping slot recency; cheaper and
     /// steadier than wall-clock reads on the hit path.
     cache_clock: AtomicU64,
-    /// Engine-wide cooperative cancellation: attached to every solve
-    /// budget, set by [`AnalysisEngine::cancel_inflight`] when a draining
-    /// daemon's deadline passes.
+    /// Engine-wide drain flag: attached to every solve budget, set by
+    /// [`AnalysisEngine::cancel_inflight`] when a draining daemon's deadline
+    /// passes.
     cancel: Arc<AtomicBool>,
     /// See [`AnalysisEngine::with_faults`].
     #[cfg(feature = "fault-inject")]
@@ -907,24 +908,25 @@ impl AnalysisEngine {
 
     /// Returns this engine retrying each supervised grid-point solve up to
     /// `retries` times after a *retryable* failure — a caught worker panic
-    /// or a watchdog cancellation — with exponential backoff between
-    /// attempts. Deterministic failures (invalid parameters, structural
-    /// solver errors, budget exhaustion) are never retried. The default is
-    /// [`DEFAULT_RETRIES`].
+    /// or the point's own deadline passing — with exponential backoff
+    /// between attempts. Deterministic failures (invalid parameters,
+    /// structural solver errors, budget exhaustion) and a drain's
+    /// cancellation ([`AnalysisEngine::cancel_inflight`]) are never
+    /// retried. The default is [`DEFAULT_RETRIES`].
     pub fn with_retries(mut self, retries: u32) -> Self {
         self.retries = retries;
         self
     }
 
-    /// Returns this engine giving each supervised grid-point solve a
-    /// watchdog deadline of `ms` milliseconds: during
-    /// [`AnalysisEngine::sweep_supervised`] a background watchdog cancels
-    /// (via the budget's cancellation flag) any point that overstays its
-    /// lease, the lease's permit is reclaimed, and the point is retried per
-    /// [`AnalysisEngine::with_retries`]. Unlike
-    /// [`AnalysisEngine::with_budget_ms`] — where the solve polices its own
-    /// deadline — this is an *external* supervisor, so it also catches
-    /// solves stuck inside a stage that cannot check a budget.
+    /// Returns this engine giving each attempt at a supervised grid-point
+    /// solve a deadline of `ms` milliseconds: during
+    /// [`AnalysisEngine::sweep_supervised`] the first budget check after the
+    /// deadline fails with [`NumericsError::Cancelled`], the engine counts a
+    /// rejuvenation ([`SolverStats::rejuvenations`]), and the point is
+    /// retried per [`AnalysisEngine::with_retries`]. Unlike
+    /// [`AnalysisEngine::with_budget_ms`], whose exhaustion is final, an
+    /// overdue point gets a fresh attempt. A solve stuck where no budget
+    /// check runs is not stopped. Other entry points ignore the deadline.
     pub fn with_point_deadline_ms(mut self, ms: u64) -> Self {
         self.point_deadline_ms = Some(ms);
         self
@@ -1067,8 +1069,8 @@ impl AnalysisEngine {
     }
 
     /// [`AnalysisEngine::chain`] under an explicit budget — the supervised
-    /// sweep path threads a per-point budget carrying a lease's cancellation
-    /// flag. Cached answers are served regardless of the budget.
+    /// sweep path threads a per-point budget carrying the point's
+    /// deadline. Cached answers are served regardless of the budget.
     fn chain_with_budget(
         &self,
         params: &SystemParams,
@@ -1481,10 +1483,10 @@ impl AnalysisEngine {
     ///
     /// Each grid point runs as a *supervised* solve: wrapped in
     /// `catch_unwind` (a worker panic costs that point, never the process),
-    /// registered as a [`WorkerPool`] lease so the watchdog started for the
-    /// sweep's duration — when [`AnalysisEngine::with_point_deadline_ms`] is
-    /// configured — can cancel an overdue solve, and retried per
-    /// [`AnalysisEngine::with_retries`] after retryable failures.
+    /// cancelled at its first budget check past
+    /// [`AnalysisEngine::with_point_deadline_ms`] when that is configured,
+    /// and retried per [`AnalysisEngine::with_retries`] after retryable
+    /// failures.
     ///
     /// `observer` is invoked once per *completed* point, from whichever
     /// worker thread finished it (hence `Sync`), in completion order — not
@@ -1526,13 +1528,7 @@ impl AnalysisEngine {
         budget_ms: Option<u64>,
         observer: &(dyn Fn(SweepPointRecord) + Sync),
     ) -> Result<Vec<(f64, f64)>> {
-        let pool = WorkerPool::global();
-        // One watchdog covers the whole sweep; sweeping a few times per
-        // deadline keeps cancellation latency well under one deadline.
-        let _watchdog = self
-            .point_deadline_ms
-            .map(|ms| pool.start_watchdog(Duration::from_millis((ms / 4).clamp(2, 100))));
-        let run = pool.run_indexed(self.jobs, values.len(), |idx| {
+        let run = WorkerPool::global().run_indexed(self.jobs, values.len(), |idx| {
             let x = values[idx];
             let p = axis.apply(params, x);
             let (value, degraded) = self.solve_point_supervised(&p, policy, backend, budget_ms)?;
@@ -1549,7 +1545,7 @@ impl AnalysisEngine {
     }
 
     /// One grid point under the supervision policy: panic isolation, a
-    /// watchdog lease, and bounded retries with exponential backoff.
+    /// per-attempt deadline, and bounded retries with exponential backoff.
     fn solve_point_supervised(
         &self,
         params: &SystemParams,
@@ -1557,7 +1553,6 @@ impl AnalysisEngine {
         backend: SolverBackend,
         budget_ms: Option<u64>,
     ) -> Result<(f64, bool)> {
-        let pool = WorkerPool::global();
         let mut attempt: u32 = 0;
         loop {
             // One span per attempt, opened on the worker thread running the
@@ -1565,10 +1560,10 @@ impl AnalysisEngine {
             let mut span = nvp_obs::span("sweep.point");
             span.record("attempt", attempt);
             let t = Instant::now();
-            let lease = pool.lease(self.point_deadline_ms.map(Duration::from_millis));
-            let budget = self
-                .solve_budget_capped(budget_ms)
-                .with_cancel(lease.cancel_token());
+            let mut budget = self.solve_budget_capped(budget_ms);
+            if let Some(ms) = self.point_deadline_ms {
+                budget = budget.with_cancel_after_ms(ms);
+            }
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 self.reliability_point(params, policy, backend, &budget)
             }))
@@ -1582,12 +1577,6 @@ impl AnalysisEngine {
                     payload: panic_payload(payload),
                 })
             });
-            let rejuvenated = lease.is_cancelled();
-            drop(lease);
-            if rejuvenated {
-                self.rejuvenations.inc();
-                nvp_obs::event_with("rejuvenation", || vec![("site", "sweep.point".into())]);
-            }
             self.point_hist.record_duration(t.elapsed());
             match outcome {
                 Ok(point) => {
@@ -1596,7 +1585,14 @@ impl AnalysisEngine {
                 }
                 Err(e) => {
                     span.record("failed", true);
-                    if attempt < self.retries && Self::retryable(&e) {
+                    let rejuvenated = self.deadline_fired(&e);
+                    if rejuvenated {
+                        self.rejuvenations.inc();
+                        nvp_obs::event_with("rejuvenation", || {
+                            vec![("site", "sweep.point".into())]
+                        });
+                    }
+                    if attempt < self.retries && (rejuvenated || Self::panicked(&e)) {
                         attempt += 1;
                         self.retries_taken.inc();
                         nvp_obs::event_with("retry", || vec![("attempt", attempt.into())]);
@@ -1611,23 +1607,32 @@ impl AnalysisEngine {
         }
     }
 
-    /// Whether a failed supervised solve is worth a fresh attempt: caught
-    /// panics and watchdog cancellations are transient by nature, while
-    /// parameter, structural and budget failures are deterministic — the
-    /// retry would fail identically.
-    fn retryable(e: &crate::CoreError) -> bool {
+    /// Whether `e` is the point's own deadline firing: a solve is cancelled
+    /// by its deadline or by the engine's drain flag, so a cancellation
+    /// while the engine is not draining is the deadline. A drain's
+    /// cancellation is not worth a retry, which would meet the same set
+    /// flag again.
+    fn deadline_fired(&self, e: &crate::CoreError) -> bool {
+        use crate::CoreError;
+        let cancelled = matches!(
+            e,
+            CoreError::Mrgp(MrgpError::Numerics(NumericsError::Cancelled { .. }))
+                | CoreError::Numerics(NumericsError::Cancelled { .. })
+                | CoreError::Petri(nvp_petri::PetriError::Numerics(
+                    NumericsError::Cancelled { .. }
+                ))
+        );
+        cancelled && !self.cancel.load(Ordering::Relaxed)
+    }
+
+    /// Whether `e` is a worker panic caught by the supervision layer. Like
+    /// an overdue attempt it is transient and worth a retry, while
+    /// parameter, structural and budget failures would fail identically.
+    fn panicked(e: &crate::CoreError) -> bool {
         use crate::CoreError;
         matches!(
             e,
-            CoreError::WorkerPanicked { .. }
-                | CoreError::Mrgp(MrgpError::WorkerPanicked { .. })
-                | CoreError::Mrgp(MrgpError::Numerics(NumericsError::Cancelled { .. }))
-                | CoreError::Numerics(NumericsError::Cancelled { .. })
-        ) || matches!(
-            e,
-            CoreError::Petri(nvp_petri::PetriError::Numerics(
-                NumericsError::Cancelled { .. }
-            ))
+            CoreError::WorkerPanicked { .. } | CoreError::Mrgp(MrgpError::WorkerPanicked { .. })
         )
     }
 
@@ -1993,8 +1998,9 @@ impl AnalysisEngine {
             return Err(primary_err.into());
         }
         // A supervisor-initiated cancellation is, like a budget stop, an
-        // intentional abort: the point's lease expired, and the supervised
-        // retry policy (not the fallback chain) decides what happens next.
+        // intentional abort: the point's deadline passed or the engine is
+        // draining, and the supervised retry policy (not the fallback chain)
+        // decides what happens next.
         if matches!(
             primary_err,
             MrgpError::Numerics(NumericsError::Cancelled { .. })
@@ -2629,8 +2635,8 @@ mod tests {
             .unwrap();
         // Two armed panics: the primary solve eats one, the alternate-backend
         // fallback eats the other, so the first *attempt* fails outright and
-        // only the supervised point-level retry (fresh lease, fresh budget)
-        // sees a healthy solver.
+        // only the supervised point-level retry (fresh budget) sees a
+        // healthy solver.
         let engine = AnalysisEngine::new()
             .with_jobs(Jobs::Fixed(1))
             .with_retries(1)
@@ -2650,28 +2656,77 @@ mod tests {
 
     #[cfg(feature = "fault-inject")]
     #[test]
-    fn the_watchdog_rejuvenates_a_stalled_point() {
+    fn a_stalled_point_is_cancelled_at_its_deadline() {
         let params = SystemParams::paper_six_version();
         // Every subordinated transient stalls 50 ms against a 10 ms point
-        // deadline: the watchdog cancels the lease, the budget check after
-        // the stall reports the cancellation, and the one permitted retry
-        // stalls out identically, so the point fails with a typed error.
-        let engine = AnalysisEngine::new()
-            .with_jobs(Jobs::Fixed(1))
-            .with_point_deadline_ms(10)
-            .with_retries(1)
-            .with_faults(FaultPlan::new(Site::SubordinatedTransient, FaultMode::Stall).arm());
-        let err = sweep(&engine, &params, ParamAxis::Alpha, &[params.alpha]).unwrap_err();
-        assert!(
+        // deadline: the budget check after the stall cancels the attempt,
+        // and the one permitted retry stalls out identically, so the point
+        // fails with a typed error after two rejuvenations.
+        let stalled = |jobs| {
+            AnalysisEngine::new()
+                .with_jobs(jobs)
+                .with_point_deadline_ms(10)
+                .with_retries(1)
+                .with_faults(FaultPlan::new(Site::SubordinatedTransient, FaultMode::Stall).arm())
+        };
+        let is_cancelled = |err: &crate::CoreError| {
             matches!(
                 err,
                 crate::CoreError::Mrgp(MrgpError::Numerics(NumericsError::Cancelled { .. }))
-            ),
-            "{err:?}"
-        );
+            )
+        };
+        let engine = stalled(Jobs::Fixed(1));
+        let err = sweep(&engine, &params, ParamAxis::Alpha, &[params.alpha]).unwrap_err();
+        assert!(is_cancelled(&err), "{err:?}");
         let stats = engine.stats();
-        assert!(stats.rejuvenations >= 1, "{}", stats.rejuvenations);
+        assert_eq!(stats.rejuvenations, 2);
         assert_eq!(stats.retries, 1);
+
+        // Two chain points on two workers: one point's deadline fires on a
+        // pool worker. Both start long before either fails, so each takes
+        // its retry; on one thread the first failure would skip the second.
+        let _lock = pool_test_lock();
+        let pool = WorkerPool::global();
+        pool.set_capacity(pool.capacity().max(2));
+        let idle_by = Instant::now() + Duration::from_secs(10);
+        while pool.in_use() > 0 && Instant::now() < idle_by {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let engine = stalled(Jobs::Fixed(2));
+        let err = sweep(
+            &engine,
+            &params,
+            ParamAxis::RejuvenationInterval,
+            &[500.0, 700.0],
+        )
+        .unwrap_err();
+        assert!(is_cancelled(&err), "{err:?}");
+        let stats = engine.stats();
+        assert_eq!(stats.retries, 2, "both points ran at once");
+        assert_eq!(stats.rejuvenations, 4);
+    }
+
+    #[test]
+    fn a_drain_cancellation_is_not_retried() {
+        // The drain flag stays set, so a retry would only sleep through
+        // its backoff and fail again; the far point deadline never fires.
+        let engine = AnalysisEngine::new()
+            .with_jobs(Jobs::Fixed(1))
+            .with_point_deadline_ms(3_600_000)
+            .with_retries(3);
+        let params = SystemParams::paper_six_version();
+        engine.cancel_inflight();
+        let err = sweep(
+            &engine,
+            &params,
+            ParamAxis::RejuvenationInterval,
+            &[500.0, 700.0],
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("cancelled by supervisor"), "{err}");
+        let stats = engine.stats();
+        assert_eq!(stats.retries, 0);
+        assert_eq!(stats.rejuvenations, 0);
     }
 
     #[test]
@@ -3064,7 +3119,11 @@ mod tests {
         let err = engine
             .expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)
             .unwrap_err();
-        assert!(AnalysisEngine::retryable(&err), "typed Cancelled: {err:?}");
+        assert!(err.to_string().contains("cancelled by supervisor"), "{err}");
+        assert!(
+            !engine.deadline_fired(&err),
+            "a drain is not a point deadline"
+        );
         engine.reset_cancellation();
         assert!(engine
             .expected_reliability(&params, RewardPolicy::FailedOnly, SolverBackend::Auto)

@@ -63,10 +63,13 @@ pub enum NumericsError {
         /// The configured wall-clock budget in milliseconds.
         budget_ms: u64,
     },
-    /// The solve was cancelled from outside — typically by the worker-pool
-    /// watchdog reclaiming an overdue lease. Unlike
-    /// [`BudgetExceeded`](Self::BudgetExceeded), cancellation is initiated by
-    /// a supervisor rather than by the solve noticing its own deadline.
+    /// The solve was cancelled by its supervisor: a budget check found the
+    /// budget's cancellation deadline passed (the engine gives each
+    /// supervised sweep point one, and retries the point) or its drain flag
+    /// set (a draining daemon stopping the jobs in flight). Unlike
+    /// [`BudgetExceeded`](Self::BudgetExceeded), which reports a wall-clock
+    /// budget running out, a cancelled solve is stopped on its supervisor's
+    /// behalf. See [`SolveBudget`](crate::budget::SolveBudget).
     Cancelled {
         /// Pipeline stage that observed the cancellation flag.
         stage: &'static str,

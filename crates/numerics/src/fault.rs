@@ -15,7 +15,8 @@
 //! * [`FaultMode::Panic`] — the worker thread panics at the site, exercising
 //!   the `catch_unwind` supervision layer in `nvp-mrgp`/`nvp-core`,
 //! * [`FaultMode::Stall`] — the site sleeps for [`STALL_MS`] milliseconds and
-//!   then proceeds normally, exercising the worker-rejuvenation watchdog.
+//!   then proceeds normally, so a sweep point overstays its deadline and the
+//!   next budget check cancels it.
 //!
 //! A plan travels with the work it targets, like a cancellation flag:
 //! [`FaultPlan::arm`] makes an [`ArmedPlan`] (clones share one call
@@ -61,7 +62,9 @@ pub enum FaultMode {
     Panic,
     /// Sleep for [`STALL_MS`] milliseconds, then proceed normally. Handled
     /// inside [`ArmedPlan::fault`] (sites never observe this variant); used
-    /// to make a solve overstay a watchdog deadline deterministically.
+    /// to make a solve overstay its point deadline deterministically, so the
+    /// budget check after the sleep fails with
+    /// [`NumericsError::Cancelled`].
     Stall,
     /// Fail the site's I/O operation (persistent-store read or write). The
     /// engine must degrade the operation to a cache miss / skipped save,

@@ -44,10 +44,8 @@
 //! assert_eq!(run.skipped, 3);
 //! ```
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// How many worker threads a parallel stage may use, including the calling
 /// thread.
@@ -115,29 +113,6 @@ pub struct WorkerPool {
     in_use: AtomicUsize,
     /// High-water mark of `in_use` since the last [`WorkerPool::reset_peak`].
     peak: AtomicUsize,
-    /// Requests granted fewer permits than they asked for.
-    starvations: AtomicU64,
-    /// Outstanding solve leases, keyed by lease id (see [`WorkerPool::lease`]).
-    leases: Mutex<HashMap<u64, LeaseEntry>>,
-    /// Next lease id to hand out.
-    next_lease: AtomicU64,
-    /// Leases cancelled by [`WorkerPool::watchdog_sweep`] (lifetime total).
-    rejuvenations: AtomicU64,
-    /// Poisoned lease-table locks recovered instead of propagated (lifetime
-    /// total).
-    lock_recoveries: AtomicU64,
-}
-
-/// Bookkeeping for one outstanding solve lease.
-#[derive(Debug)]
-struct LeaseEntry {
-    /// Instant past which the watchdog cancels the lease, if any.
-    deadline: Option<Instant>,
-    /// Cancellation flag shared with the leaseholder's [`SolveBudget`]
-    /// (via [`Lease::cancel_token`]).
-    ///
-    /// [`SolveBudget`]: crate::budget::SolveBudget
-    cancel: Arc<AtomicBool>,
 }
 
 impl WorkerPool {
@@ -148,11 +123,6 @@ impl WorkerPool {
             capacity: AtomicUsize::new(capacity.max(1)),
             in_use: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
-            starvations: AtomicU64::new(0),
-            leases: Mutex::new(HashMap::new()),
-            next_lease: AtomicU64::new(0),
-            rejuvenations: AtomicU64::new(0),
-            lock_recoveries: AtomicU64::new(0),
         }
     }
 
@@ -214,14 +184,9 @@ impl WorkerPool {
             .store(self.in_use.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
-    /// Requests granted fewer permits than asked (lifetime total).
-    pub fn starvations(&self) -> u64 {
-        self.starvations.load(Ordering::Relaxed)
-    }
-
     /// Acquires up to `want` permits without blocking; the grant may be
     /// empty. Dropping the returned [`Permits`] releases them. A grant
-    /// smaller than `want` (with `want > 0`) counts as a starvation.
+    /// smaller than `want` emits a `permit_starvation` trace event.
     pub fn try_acquire(&self, want: usize) -> Permits<'_> {
         let mut granted = 0;
         if want > 0 {
@@ -248,7 +213,6 @@ impl WorkerPool {
                 }
             }
             if granted < want {
-                self.starvations.fetch_add(1, Ordering::Relaxed);
                 nvp_obs::trace::event_with("permit_starvation", || {
                     vec![("wanted", want.into()), ("granted", granted.into())]
                 });
@@ -319,165 +283,6 @@ impl WorkerPool {
             skipped,
         }
     }
-
-    /// Locks the lease table, recovering from poisoning (a panicking
-    /// leaseholder) instead of propagating the panic process-wide. Every
-    /// entry in the table is a plain insert/remove, so a poisoned guard's
-    /// contents are still consistent.
-    fn lease_table(&self) -> MutexGuard<'_, HashMap<u64, LeaseEntry>> {
-        self.leases.lock().unwrap_or_else(|poisoned| {
-            self.lock_recoveries.fetch_add(1, Ordering::Relaxed);
-            self.leases.clear_poison();
-            poisoned.into_inner()
-        })
-    }
-
-    /// Registers a solve with the pool's watchdog and returns its [`Lease`].
-    ///
-    /// A lease with a `deadline` is cancelled — its shared flag set, so the
-    /// leaseholder's next budget check fails with
-    /// [`NumericsError::Cancelled`](crate::NumericsError::Cancelled) — by the
-    /// next [`watchdog_sweep`](Self::watchdog_sweep) after the deadline
-    /// elapses. A lease without a deadline is tracked but never cancelled.
-    /// Dropping the lease unregisters it.
-    pub fn lease(&self, deadline: Option<Duration>) -> Lease<'_> {
-        let id = self.next_lease.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        let cancel = Arc::new(AtomicBool::new(false));
-        self.lease_table().insert(
-            id,
-            LeaseEntry {
-                deadline: deadline.map(|d| started + d),
-                cancel: Arc::clone(&cancel),
-            },
-        );
-        Lease {
-            pool: self,
-            id,
-            started,
-            cancel,
-        }
-    }
-
-    /// Number of currently outstanding leases.
-    #[cfg(test)]
-    fn active_leases(&self) -> usize {
-        self.lease_table().len()
-    }
-
-    /// Cancels every outstanding lease whose deadline has passed and returns
-    /// how many were newly cancelled. Callers normally run this from a
-    /// [`start_watchdog`](Self::start_watchdog) thread rather than directly.
-    pub fn watchdog_sweep(&self) -> usize {
-        let now = Instant::now();
-        let mut cancelled = 0;
-        for entry in self.lease_table().values() {
-            if let Some(deadline) = entry.deadline {
-                if now >= deadline && !entry.cancel.swap(true, Ordering::Relaxed) {
-                    cancelled += 1;
-                }
-            }
-        }
-        if cancelled > 0 {
-            self.rejuvenations
-                .fetch_add(cancelled as u64, Ordering::Relaxed);
-            nvp_obs::trace::event_with("rejuvenation", || {
-                vec![("cancelled_leases", cancelled.into())]
-            });
-        }
-        cancelled
-    }
-
-    /// Leases cancelled by the watchdog (lifetime total).
-    pub fn rejuvenations(&self) -> u64 {
-        self.rejuvenations.load(Ordering::Relaxed)
-    }
-
-    /// Poisoned lease-table locks recovered instead of propagated (lifetime
-    /// total).
-    pub fn lock_recoveries(&self) -> u64 {
-        self.lock_recoveries.load(Ordering::Relaxed)
-    }
-
-    /// Spawns a background watchdog thread that runs
-    /// [`watchdog_sweep`](Self::watchdog_sweep) every `period` until the
-    /// returned [`Watchdog`] handle is dropped (which stops and joins the
-    /// thread). Only available on the `'static` pool —
-    /// [`global`](Self::global) — so the thread can never outlive its pool.
-    pub fn start_watchdog(&'static self, period: Duration) -> Watchdog {
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("nvp-watchdog".into())
-            .spawn(move || {
-                while !thread_stop.load(Ordering::Relaxed) {
-                    self.watchdog_sweep();
-                    std::thread::park_timeout(period);
-                }
-            })
-            .expect("failed to spawn watchdog thread");
-        Watchdog {
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
-/// A registered solve being tracked by the pool's watchdog; unregisters on
-/// drop. See [`WorkerPool::lease`].
-#[derive(Debug)]
-#[must_use = "the lease is unregistered as soon as this is dropped"]
-pub struct Lease<'a> {
-    pool: &'a WorkerPool,
-    id: u64,
-    started: Instant,
-    cancel: Arc<AtomicBool>,
-}
-
-impl Lease<'_> {
-    /// How long this lease has been outstanding.
-    pub fn age(&self) -> Duration {
-        self.started.elapsed()
-    }
-
-    /// The cancellation flag shared between this lease and the watchdog;
-    /// pass it to [`SolveBudget::with_cancel`] so the leaseholder's solve
-    /// observes watchdog cancellation at its next budget check.
-    ///
-    /// [`SolveBudget::with_cancel`]: crate::budget::SolveBudget::with_cancel
-    pub fn cancel_token(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.cancel)
-    }
-
-    /// `true` once the watchdog has cancelled this lease.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for Lease<'_> {
-    fn drop(&mut self) {
-        self.pool.lease_table().remove(&self.id);
-    }
-}
-
-/// Handle to a running watchdog thread; dropping it stops and joins the
-/// thread. See [`WorkerPool::start_watchdog`].
-#[derive(Debug)]
-#[must_use = "the watchdog thread stops as soon as this is dropped"]
-pub struct Watchdog {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            handle.thread().unpark();
-            let _ = handle.join();
-        }
-    }
 }
 
 /// The results and schedule of one [`WorkerPool::run_indexed`] fan-out.
@@ -488,7 +293,7 @@ pub struct IndexedRun<T, E> {
     /// Threads that ran tasks, the calling thread included.
     pub workers: usize,
     /// Whether the pool granted fewer permits than the jobs setting asked
-    /// for (also counted in [`WorkerPool::starvations`]).
+    /// for.
     pub starved: bool,
     /// Indices never started because a task had already failed.
     pub skipped: usize,
@@ -522,6 +327,7 @@ impl Drop for Permits<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn jobs_parse_accepts_auto_and_positive_integers() {
@@ -595,25 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn short_grants_count_as_starvations() {
-        let pool = WorkerPool::new(3);
-        assert_eq!(pool.starvations(), 0);
-        let a = pool.try_acquire(2); // exact: no starvation
-        assert_eq!(pool.starvations(), 0);
-        let b = pool.try_acquire(2); // nothing left
-        assert_eq!(b.count(), 0);
-        assert_eq!(pool.starvations(), 1);
-        drop(a);
-        let c = pool.try_acquire(5); // partial
-        assert_eq!(c.count(), 2);
-        assert_eq!(pool.starvations(), 2);
-        // Asking for nothing is not starvation.
-        let d = pool.try_acquire(0);
-        assert_eq!(d.count(), 0);
-        assert_eq!(pool.starvations(), 2);
-    }
-
-    #[test]
     fn shrinking_capacity_blocks_new_grants_only() {
         let pool = WorkerPool::new(4);
         let a = pool.try_acquire(3);
@@ -674,90 +461,11 @@ mod tests {
         assert_eq!(run.workers, 1);
         let run = pool.run_indexed(Jobs::Auto, 1, Ok::<_, ()>);
         assert!(!run.starved);
-        assert_eq!(pool.starvations(), 1);
     }
 
     #[test]
     fn global_pool_has_at_least_one_worker() {
         let pool = WorkerPool::global();
         assert!(pool.capacity() >= 1);
-    }
-
-    #[test]
-    fn leases_register_and_unregister() {
-        let pool = WorkerPool::new(2);
-        assert_eq!(pool.active_leases(), 0);
-        let a = pool.lease(None);
-        let b = pool.lease(Some(Duration::from_secs(3600)));
-        assert_eq!(pool.active_leases(), 2);
-        assert!(!a.is_cancelled());
-        drop(a);
-        drop(b);
-        assert_eq!(pool.active_leases(), 0);
-    }
-
-    #[test]
-    fn watchdog_sweep_cancels_only_overdue_leases() {
-        let pool = WorkerPool::new(2);
-        let overdue = pool.lease(Some(Duration::from_millis(0)));
-        let fresh = pool.lease(Some(Duration::from_secs(3600)));
-        let untimed = pool.lease(None);
-        std::thread::sleep(Duration::from_millis(2));
-        assert_eq!(pool.watchdog_sweep(), 1);
-        assert!(overdue.is_cancelled());
-        assert!(overdue.cancel_token().load(Ordering::Relaxed));
-        assert!(!fresh.is_cancelled());
-        assert!(!untimed.is_cancelled());
-        assert_eq!(pool.rejuvenations(), 1);
-        // A second sweep does not double-count the already-cancelled lease.
-        assert_eq!(pool.watchdog_sweep(), 0);
-        assert_eq!(pool.rejuvenations(), 1);
-    }
-
-    #[test]
-    fn cancelled_lease_trips_a_budget_carrying_its_token() {
-        let pool = WorkerPool::new(2);
-        let lease = pool.lease(Some(Duration::from_millis(0)));
-        let budget = crate::budget::SolveBudget::unlimited().with_cancel(lease.cancel_token());
-        assert!(budget.check("before cancellation").is_ok());
-        std::thread::sleep(Duration::from_millis(2));
-        pool.watchdog_sweep();
-        match budget.check("after cancellation") {
-            Err(crate::NumericsError::Cancelled { stage }) => {
-                assert_eq!(stage, "after cancellation");
-            }
-            other => panic!("expected Cancelled, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn background_watchdog_cancels_an_overdue_lease() {
-        // Watchdog requires a 'static pool; leak a dedicated one so the test
-        // does not interfere with the global pool's counters.
-        let pool: &'static WorkerPool = Box::leak(Box::new(WorkerPool::new(2)));
-        let lease = pool.lease(Some(Duration::from_millis(5)));
-        let watchdog = pool.start_watchdog(Duration::from_millis(2));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !lease.is_cancelled() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(lease.is_cancelled(), "watchdog never fired");
-        drop(watchdog); // stops and joins the thread
-        assert!(pool.rejuvenations() >= 1);
-    }
-
-    #[test]
-    fn poisoned_lease_table_is_recovered_not_propagated() {
-        let pool: &'static WorkerPool = Box::leak(Box::new(WorkerPool::new(2)));
-        // Poison the lease-table mutex by panicking while holding it.
-        let _ = std::panic::catch_unwind(|| {
-            let _guard = pool.leases.lock().unwrap();
-            panic!("poison the lease table");
-        });
-        let lease = pool.lease(Some(Duration::from_secs(3600)));
-        assert_eq!(pool.active_leases(), 1);
-        assert!(pool.lock_recoveries() >= 1);
-        drop(lease);
-        assert_eq!(pool.active_leases(), 0);
     }
 }

@@ -647,8 +647,10 @@ fn drain_and_resolve(inner: &Arc<ServerInner>, kind: DrainKind) {
         }
         let elapsed = started.elapsed();
         if elapsed >= deadline && !cancelled {
-            // Overdue: reclaim the workers through the same cooperative
-            // flag the watchdog uses; the jobs finish as typed failures.
+            // Overdue: set the engine's drain flag, which every solve
+            // budget watches. Each in-flight solve fails as `Cancelled` at
+            // its next budget check and is not retried, so the jobs finish
+            // as typed failures.
             sink::server("drain", "deadline passed; cancelling in-flight jobs");
             engine.cancel_inflight();
             cancelled = true;
