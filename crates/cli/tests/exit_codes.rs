@@ -31,6 +31,27 @@ fn hard_failure_exits_one() {
     }
 }
 
+/// Large no-rejuvenation models (630 and 861 markings, above the dense
+/// limit) are exponential-only nets, solved through their embedded jump
+/// chain: an exact answer, with no fallback.
+#[test]
+fn large_no_rejuvenation_models_solve_exactly() {
+    for n in ["34", "40"] {
+        let output = nvp()
+            .args(["analyze", "--no-rejuvenation", "--n", n, "--f", "1"])
+            .output()
+            .expect("spawn nvp");
+        assert_eq!(output.status.code(), Some(0), "N = {n}: {output:?}");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stdout.contains("E[R_sys]"), "N = {n}: {stdout}");
+        assert!(
+            !stdout.contains("WARNING") && !stderr.contains("WARNING"),
+            "N = {n}: {stdout}{stderr}"
+        );
+    }
+}
+
 #[cfg(feature = "fault-inject")]
 #[test]
 fn degraded_analysis_exits_two_with_warning() {

@@ -120,7 +120,7 @@ pub fn transient_reliability(
                     constraint: format!("must be non-negative and finite, got {t}"),
                 });
             }
-            let pi = ctmc.transient(&pi0, t, TRANSIENT_EPS)?;
+            let (pi, _, _) = ctmc.transient_and_sojourn(&pi0, t, TRANSIENT_EPS)?;
             Ok((t, nvp_numerics::ctmc::expected_reward(&pi, &rewards)?))
         })
         .collect()
@@ -149,7 +149,7 @@ pub fn interval_reliability(
     let reliability = ReliabilityModel::for_params(params, ReliabilitySource::Auto)?;
     let rewards = reward_vector(&chain.graph, &chain.net, params, &reliability, policy)?;
     let pi0 = initial_distribution(&chain.graph);
-    let sojourn = ctmc.accumulated_sojourn(&pi0, t, TRANSIENT_EPS)?;
+    let (_, sojourn, _) = ctmc.transient_and_sojourn(&pi0, t, TRANSIENT_EPS)?;
     Ok(nvp_numerics::ctmc::expected_reward(&sojourn, &rewards)? / t)
 }
 

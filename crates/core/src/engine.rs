@@ -269,12 +269,18 @@ impl ChainKey {
 /// Version 2: duplicate matrix entries are summed in insertion order (see
 /// `nvp_numerics::sparse`), not in whatever order an unstable sort left
 /// them, which moves the last bits of some steady states.
-pub const STORE_SOLVER_VERSION: u32 = 2;
+///
+/// Version 3: nets with no deterministic transition (the no-rejuvenation
+/// models) are solved through their embedded jump chain instead of the
+/// generator's balance equations, which moves the last bits of their
+/// steady states.
+pub const STORE_SOLVER_VERSION: u32 = 3;
 
+/// Stable store discriminants of [`SolveMethod`]. Byte 1 named the retired
+/// CTMC path and is no longer written or accepted.
 fn method_to_u8(method: SolveMethod) -> u8 {
     match method {
         SolveMethod::SingleMarking => 0,
-        SolveMethod::Ctmc => 1,
         SolveMethod::Mrgp => 2,
     }
 }
@@ -282,7 +288,6 @@ fn method_to_u8(method: SolveMethod) -> u8 {
 fn method_from_u8(byte: u8) -> Option<SolveMethod> {
     match byte {
         0 => Some(SolveMethod::SingleMarking),
-        1 => Some(SolveMethod::Ctmc),
         2 => Some(SolveMethod::Mrgp),
         _ => None,
     }
@@ -445,8 +450,6 @@ pub struct SolverStats {
     pub max_subordinated_states: usize,
     /// Deepest uniformization (Poisson-series) truncation actually used.
     pub max_truncation_steps: usize,
-    /// Uniformization series cut short by bitwise steady-state detection.
-    pub steady_state_detections: usize,
     /// Stationary solves answered by the dense LU backend.
     pub dense_solves: usize,
     /// Stationary solves answered by damped power iteration.
@@ -534,11 +537,6 @@ impl std::fmt::Display for SolverStats {
             "mrgp             : {} subordinated chain(s), largest {} state(s), \
              uniformization depth <= {}",
             self.subordinated_chains, self.max_subordinated_states, self.max_truncation_steps
-        )?;
-        writeln!(
-            f,
-            "solver hot path  : {} steady-state detection(s)",
-            self.steady_state_detections
         )?;
         writeln!(
             f,
@@ -630,7 +628,6 @@ struct SolutionCells {
     subordinated_chains: Counter,
     max_subordinated_states: Gauge,
     max_truncation_steps: Gauge,
-    steady_state_detections: Counter,
     dense_solves: Counter,
     iterative_solves: Counter,
     degraded_solutions: Counter,
@@ -650,7 +647,6 @@ impl SolutionCells {
             subordinated_chains: metrics.counter("nvp_subordinated_chains_total"),
             max_subordinated_states: metrics.gauge("nvp_max_subordinated_states"),
             max_truncation_steps: metrics.gauge("nvp_max_truncation_steps"),
-            steady_state_detections: metrics.counter("nvp_steady_state_detections_total"),
             dense_solves: metrics.counter("nvp_dense_solves_total"),
             iterative_solves: metrics.counter("nvp_iterative_solves_total"),
             degraded_solutions: metrics.counter("nvp_degraded_solutions_total"),
@@ -674,8 +670,6 @@ impl SolutionCells {
             .set_max(solver.max_subordinated_states as u64);
         self.max_truncation_steps
             .set_max(solver.max_truncation_steps as u64);
-        self.steady_state_detections
-            .add(solver.steady_state_detections as u64);
         self.guard_trips.add(solver.guard_trips as u64);
         self.workers_used.set_max(solver.workers_used as u64);
         self.parallel_rows.add(solver.parallel_rows as u64);
@@ -1401,6 +1395,8 @@ impl AnalysisEngine {
         states.sort_by(|a, b| b.probability.partial_cmp(&a.probability).expect("finite"));
         // Per-marking sampling errors propagate to E[R] by the triangle
         // inequality: |ΔE[R]| ≤ Σ hw_i · |R_i| (conservative union bound).
+        // The fold starts at +0.0 because an empty f64 `sum` is -0.0, which
+        // an analytic fallback (no half-widths) would print as "±-0.00e0".
         let degraded = chain.degraded.as_ref().map(|d| DegradedReport {
             method: d.method,
             reason: d.reason.clone(),
@@ -1408,8 +1404,7 @@ impl AnalysisEngine {
                 .half_widths
                 .iter()
                 .zip(&rewards)
-                .map(|(hw, r)| hw * r.abs())
-                .sum(),
+                .fold(0.0, |acc, (hw, r)| acc + hw * r.abs()),
         });
         self.note_reward_time(t);
         Ok(AnalysisReport {
@@ -1843,7 +1838,6 @@ impl AnalysisEngine {
             subordinated_chains: c.subordinated_chains.get() as usize,
             max_subordinated_states: c.max_subordinated_states.get() as usize,
             max_truncation_steps: c.max_truncation_steps.get() as usize,
-            steady_state_detections: c.steady_state_detections.get() as usize,
             dense_solves: c.dense_solves.get() as usize,
             iterative_solves: c.iterative_solves.get() as usize,
             fallbacks_taken: self.fallbacks.get(),
@@ -2471,7 +2465,11 @@ mod tests {
             .unwrap();
         let d = report.degraded.as_ref().expect("degraded report");
         assert_eq!(d.method, DegradedMethod::AlternateBackend);
-        assert_eq!(d.reliability_half_width, 0.0, "analytic: no sampling error");
+        assert_eq!(
+            d.reliability_half_width.to_bits(),
+            0,
+            "analytic: no sampling error, and +0.0 rather than -0.0"
+        );
         assert!(d.reason.contains("singular"), "{}", d.reason);
         // The relaxed-tolerance iterative answer still lands on the healthy
         // value to well past reporting precision.

@@ -9,7 +9,8 @@
 //! 1. Tangible markings where only exponential transitions are enabled
 //!    regenerate at every firing: the embedded chain row is the usual race
 //!    `P(m → m') = rate/total`, and the process spends `1/total` expected
-//!    time in `m` per visit.
+//!    time in `m` per visit. A net with no deterministic transition at all
+//!    (a plain CTMC) is thus solved through its jump chain.
 //! 2. In a marking enabling a deterministic transition `d` with delay `τ`,
 //!    the exponential transitions form a *subordinated CTMC* that runs until
 //!    either a firing disables `d` (the deterministic clock resets — a

@@ -27,9 +27,9 @@ pub enum SolveMethod {
     /// A single tangible marking: the distribution is trivially `[1.0]`.
     #[default]
     SingleMarking,
-    /// No deterministic transition anywhere: plain CTMC solve.
-    Ctmc,
-    /// Full MRGP solve via the embedded Markov chain.
+    /// MRGP solve via the embedded Markov chain. A net with no
+    /// deterministic transition takes this path too: its embedded chain is
+    /// the CTMC's jump chain.
     Mrgp,
 }
 
@@ -37,7 +37,6 @@ impl std::fmt::Display for SolveMethod {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SolveMethod::SingleMarking => f.write_str("single-marking"),
-            SolveMethod::Ctmc => f.write_str("ctmc"),
             SolveMethod::Mrgp => f.write_str("mrgp"),
         }
     }
@@ -54,7 +53,7 @@ pub struct MrgpStats {
     /// Tangible markings in the solved graph.
     pub markings: usize,
     /// Subordinated CTMCs built — one per tangible marking that enables a
-    /// deterministic transition. Zero unless `method == Mrgp`.
+    /// deterministic transition.
     pub subordinated_chains: usize,
     /// State count of the largest subordinated CTMC (transient + absorbing).
     pub max_subordinated_states: usize,
@@ -63,15 +62,15 @@ pub struct MrgpStats {
     /// Deepest Poisson-series truncation used by any subordinated
     /// uniformization (transient / accumulated-sojourn solve).
     pub max_truncation_steps: usize,
-    /// Backend of the final stationary solve: the embedded chain for MRGP,
-    /// the CTMC itself otherwise.
+    /// Backend of the embedded chain's stationary solve.
     pub backend: StationaryBackend,
     /// Number of stage-boundary probability guards that had to intervene
     /// (clamp negative round-off or renormalize non-unit mass).
     pub guard_trips: usize,
     /// Worker threads used by the subordinated-chain row stage (including
-    /// the calling thread); 0 when no such stage ran (CTMC / single
-    /// marking), 1 for a strictly serial MRGP solve.
+    /// the calling thread); 0 when no such stage ran (a single marking, or
+    /// no marking enables a deterministic transition), 1 for a strictly
+    /// serial row stage.
     pub workers_used: usize,
     /// Subordinated-chain rows solved by a row stage that ran on more than
     /// one worker.
@@ -83,10 +82,9 @@ pub struct MrgpStats {
     /// Always equal to `subordinated_chains`: every chain is solved on its
     /// own. Kept only because the benchmark reports it under its old name.
     pub dedup_classes: usize,
-    /// Chain solves whose uniformization iterate reached a bitwise fixpoint
-    /// before the Poisson series ended, letting the solver skip the
-    /// remaining matrix products (see
-    /// [`nvp_numerics::ctmc::TransientStats`]).
+    /// Always 0: the solver no longer cuts a uniformization series short.
+    /// Kept only because the benchmark and the persistent store's records
+    /// still carry the field.
     pub steady_state_detections: usize,
 }
 
@@ -162,8 +160,7 @@ impl SteadyState {
     /// # Panics
     ///
     /// Panics if `rewards` has a different length than the probability
-    /// vector. Use [`SteadyState::try_expected_reward`] for a typed error
-    /// instead.
+    /// vector.
     pub fn expected_reward(&self, rewards: &[f64]) -> f64 {
         assert_eq!(
             rewards.len(),
@@ -175,29 +172,6 @@ impl SteadyState {
             .zip(rewards)
             .map(|(p, r)| p * r)
             .sum()
-    }
-
-    /// Fallible variant of [`SteadyState::expected_reward`].
-    ///
-    /// # Errors
-    ///
-    /// [`MrgpError::Numerics`] with a dimension mismatch when `rewards` has
-    /// a different length than the probability vector.
-    pub fn try_expected_reward(&self, rewards: &[f64]) -> Result<f64> {
-        if rewards.len() != self.probabilities.len() {
-            return Err(MrgpError::Numerics(
-                nvp_numerics::NumericsError::DimensionMismatch {
-                    expected: format!("reward vector of length {}", self.probabilities.len()),
-                    actual: format!("length {}", rewards.len()),
-                },
-            ));
-        }
-        Ok(self
-            .probabilities
-            .iter()
-            .zip(rewards)
-            .map(|(p, r)| p * r)
-            .sum())
     }
 
     /// Builds a steady state from an externally estimated occupancy vector
@@ -295,7 +269,6 @@ pub fn steady_state_with_options(
         markings: n,
         ..MrgpStats::default()
     };
-    let has_deterministic = states.iter().any(|s| !s.deterministic.is_empty());
     for (idx, s) in states.iter().enumerate() {
         if s.deterministic.len() > 1 {
             return Err(MrgpError::MultipleDeterministic { marking: idx });
@@ -322,55 +295,20 @@ pub fn steady_state_with_options(
             count: scc.recurrent.len(),
         });
     }
-    let solution = if has_deterministic {
-        stats.method = SolveMethod::Mrgp;
-        solve_mrgp(graph, options, &mut stats)?
-    } else {
-        stats.method = SolveMethod::Ctmc;
-        solve_ctmc(graph, options, &mut stats)?
-    };
+    stats.method = SolveMethod::Mrgp;
+    let solution = solve_mrgp(graph, options, &mut stats)?;
     if !span.is_inert() {
         span.record("method", format!("{:?}", stats.method));
         span.record("workers_used", stats.workers_used);
         span.record("subordinated_chains", stats.subordinated_chains);
-        span.record("steady_state_detections", stats.steady_state_detections);
     }
     Ok((solution, stats))
 }
 
-/// Pure-CTMC special case: every tangible marking only enables exponential
-/// transitions.
-fn solve_ctmc(
-    graph: &TangibleReachGraph,
-    options: &SolveOptions,
-    stats: &mut MrgpStats,
-) -> Result<SteadyState> {
-    let n = graph.tangible_count();
-    stats.backend = options.backend.unwrap_or_else(|| stationary_backend_for(n));
-    let mut ctmc = Ctmc::new(n);
-    for (from, state) in graph.states().iter().enumerate() {
-        for arc in &state.exponential {
-            for &(to, p) in arc.targets.entries() {
-                if to == from {
-                    continue; // self-loops are no-ops in a CTMC
-                }
-                let rate = arc.value * p;
-                if rate > 0.0 {
-                    ctmc.add_rate(from, to, rate)?;
-                }
-            }
-        }
-    }
-    let mut pi = ctmc.steady_state_with(&options.stationary())?;
-    let report =
-        guard_probability_vector(&mut pi, "ctmc steady state", DENSE_RENORMALIZATION_LIMIT)?;
-    if report.tripped() {
-        stats.guard_trips += 1;
-    }
-    Ok(SteadyState { probabilities: pi })
-}
-
-/// Full MRGP solve via the embedded Markov chain.
+/// MRGP solve via the embedded Markov chain. A marking that enables no
+/// deterministic transition contributes a [`race_row`], so a net without
+/// any deterministic transition is solved through its CTMC's jump chain,
+/// with no row stage.
 fn solve_mrgp(
     graph: &TangibleReachGraph,
     options: &SolveOptions,
@@ -480,6 +418,9 @@ fn solve_deterministic_rows(
     options: &SolveOptions,
     stats: &mut MrgpStats,
 ) -> Result<Vec<RowAndConversion>> {
+    if markings.is_empty() {
+        return Ok(Vec::new()); // no row stage: `workers_used` stays 0
+    }
     let run = WorkerPool::global().run_indexed(options.jobs, markings.len(), |i| {
         solve_row(graph, markings[i], &options.budget)
     });
@@ -496,10 +437,7 @@ fn solve_deterministic_rows(
     for row in &solved {
         stats.max_subordinated_states = stats.max_subordinated_states.max(row.states);
         stats.total_subordinated_states += row.states;
-        stats.max_truncation_steps = stats
-            .max_truncation_steps
-            .max(row.series.truncation_steps());
-        stats.steady_state_detections += usize::from(row.series.stationary_at.is_some());
+        stats.max_truncation_steps = stats.max_truncation_steps.max(row.series.series_len);
     }
     Ok(solved.into_iter().map(|row| row.entries).collect())
 }
@@ -693,9 +631,8 @@ fn build_subordinated(graph: &TangibleReachGraph, k: usize) -> Result<Subordinat
 
 /// Solves `chain` from its subordinating marking: transient distribution and
 /// accumulated sojourn at `tau`, over local state indices, in a single fused
-/// uniformization pass, keeping the series diagnostics: the truncation depth
-/// it *actually* used (not a recomputed estimate) and whether steady-state
-/// detection fired.
+/// uniformization pass, keeping the series diagnostics (the truncation depth
+/// it used).
 fn solve_chain(chain: &SubordinatedChain) -> Result<(Vec<f64>, Vec<f64>, TransientStats)> {
     let mut pi0 = vec![0.0; chain.sub.n_states()];
     pi0[0] = 1.0; // the period starts in the marking itself = local state 0
@@ -767,7 +704,15 @@ mod tests {
         steady_state(&graph).unwrap()
     }
 
-    /// Exponential-only net must agree with the closed-form CTMC solution.
+    fn marking_index(graph: &TangibleReachGraph, tokens: Vec<u32>) -> usize {
+        graph
+            .index_of(&nvp_petri::marking::Marking::new(tokens))
+            .unwrap()
+    }
+
+    /// Exponential-only net must agree with the closed-form CTMC solution:
+    /// an up/down machine with failure rate 0.2 and repair rate 1 is up
+    /// 1/1.2 of the time.
     #[test]
     fn ctmc_special_case_updown() {
         let mut b = NetBuilder::new("updown");
@@ -783,11 +728,68 @@ mod tests {
             .output(up, 1);
         let net = b.build().unwrap();
         let graph = explore(&net, 100).unwrap();
+        let (sol, stats) = steady_state_with_stats(&graph).unwrap();
+        let pi = sol.probabilities();
+        assert!((pi[marking_index(&graph, vec![1, 0])] - 1.0 / 1.2).abs() < 1e-13);
+        assert!((pi[marking_index(&graph, vec![0, 1])] - 0.2 / 1.2).abs() < 1e-13);
+        assert_eq!(stats.method, SolveMethod::Mrgp);
+    }
+
+    /// A birth-death chain over 0..=5 tokens with birth rate b and death
+    /// rate d: pi[k] ∝ (b/d)^k.
+    #[test]
+    fn ctmc_special_case_birth_death() {
+        let (birth, death, cap) = (1.0, 2.0, 5u32);
+        let mut b = NetBuilder::new("birthdeath");
+        let k = b.place("K", 0);
+        let free = b.place("Free", cap);
+        b.transition("birth", TransitionKind::exponential_rate(birth))
+            .unwrap()
+            .input(free, 1)
+            .output(k, 1);
+        b.transition("death", TransitionKind::exponential_rate(death))
+            .unwrap()
+            .input(k, 1)
+            .output(free, 1);
+        let net = b.build().unwrap();
+        let graph = explore(&net, 100).unwrap();
         let sol = steady_state(&graph).unwrap();
-        let up_idx = graph
-            .index_of(&nvp_petri::marking::Marking::new(vec![1, 0]))
-            .unwrap();
-        assert!((sol.probabilities()[up_idx] - 1.0 / 1.2).abs() < 1e-12);
+        let rho: f64 = birth / death;
+        let norm: f64 = (0..=cap).map(|j| rho.powi(j as i32)).sum();
+        for j in 0..=cap {
+            let p = sol.probabilities()[marking_index(&graph, vec![j, cap - j])];
+            let expected = rho.powi(j as i32) / norm;
+            assert!(
+                (p - expected).abs() < 1e-12,
+                "{j} tokens: {p} vs {expected}"
+            );
+        }
+    }
+
+    /// An absorbing marking gets all the mass. (A marking that enables
+    /// nothing is rejected as dead, so a self-loop keeps Down live.)
+    #[test]
+    fn ctmc_special_case_absorbing_marking() {
+        let mut b = NetBuilder::new("absorbing");
+        let up = b.place("Up", 1);
+        let down = b.place("Down", 0);
+        b.transition("fail", TransitionKind::exponential_rate(1.0))
+            .unwrap()
+            .input(up, 1)
+            .output(down, 1);
+        b.transition("stay", TransitionKind::exponential_rate(3.0))
+            .unwrap()
+            .input(down, 1)
+            .output(down, 1);
+        let net = b.build().unwrap();
+        let graph = explore(&net, 100).unwrap();
+        let sol = steady_state(&graph).unwrap();
+        let pi = sol.probabilities();
+        assert!(
+            pi[marking_index(&graph, vec![1, 0])].abs() < 1e-12,
+            "{pi:?}"
+        );
+        assert!((pi[marking_index(&graph, vec![0, 1])] - 1.0).abs() < 1e-12);
     }
 
     /// State 0 leaves via the race between Exp(lambda) and a deterministic
@@ -968,58 +970,6 @@ mod tests {
             .input_expr(c, Expr::parse("#B").unwrap())
             .output_expr(a, Expr::parse("#B").unwrap());
         b.build().unwrap()
-    }
-
-    #[test]
-    fn steady_state_detection_shortens_long_horizon_solves() {
-        // Up enables a tau = 300 maintenance clock while failing at rate 1
-        // into an absorbing Down. The subordinated chain's iterate drains
-        // geometrically into the absorbing state and reaches an exact
-        // bitwise fixpoint (0, 1) long before the ~360-term Poisson series
-        // for lambda*tau = 306 ends, so detection must fire and the recorded
-        // depth must be the real (shortened) product count, not the
-        // recomputed full series length.
-        let (lambda, mu, delta, tau) = (1.0, 0.8, 2.5, 300.0);
-        let mut b = NetBuilder::new("longmaint");
-        let up = b.place("Up", 1);
-        let down = b.place("Down", 0);
-        let maint = b.place("Maint", 0);
-        b.transition("fail", TransitionKind::exponential_rate(lambda))
-            .unwrap()
-            .input(up, 1)
-            .output(down, 1);
-        b.transition("clock", TransitionKind::deterministic_delay(tau))
-            .unwrap()
-            .input(up, 1)
-            .output(maint, 1);
-        b.transition("repair", TransitionKind::exponential_rate(mu))
-            .unwrap()
-            .input(down, 1)
-            .output(up, 1);
-        b.transition("finish", TransitionKind::exponential_rate(delta))
-            .unwrap()
-            .input(maint, 1)
-            .output(up, 1);
-        let net = b.build().unwrap();
-        let graph = explore(&net, 100).unwrap();
-        let (_, stats) = steady_state_with_stats(&graph).unwrap();
-        assert_eq!(stats.subordinated_chains, 1);
-        assert_eq!(
-            stats.steady_state_detections, 1,
-            "the one chain solve must detect stationarity: {stats:?}"
-        );
-        // Full series length for this chain's uniformization rate
-        // (max exit = lambda, so the uniformized rate is 1.02 * lambda).
-        let full_series =
-            nvp_numerics::poisson::poisson_weights(1.02 * lambda * tau, UNIFORMIZATION_EPS)
-                .unwrap()
-                .weights
-                .len();
-        assert!(
-            stats.max_truncation_steps > 0 && stats.max_truncation_steps < full_series,
-            "recorded depth {} must be the shortened one (full series = {full_series})",
-            stats.max_truncation_steps
-        );
     }
 
     /// A panic injected into a chain solve on the worker threads must
@@ -1329,26 +1279,6 @@ mod tests {
     }
 
     #[test]
-    fn try_expected_reward_reports_length_mismatch_as_typed_error() {
-        let s = SteadyState {
-            probabilities: vec![0.5, 0.5],
-        };
-        match s.try_expected_reward(&[1.0]) {
-            Err(MrgpError::Numerics(nvp_numerics::NumericsError::DimensionMismatch {
-                expected,
-                actual,
-            })) => {
-                assert!(expected.contains('2'), "expected = {expected}");
-                assert!(actual.contains('1'), "actual = {actual}");
-            }
-            other => panic!("expected DimensionMismatch, got {other:?}"),
-        }
-        // Matching lengths agree with the panicking variant.
-        let r = s.try_expected_reward(&[1.0, 3.0]).unwrap();
-        assert!((r - s.expected_reward(&[1.0, 3.0])).abs() < 1e-15);
-    }
-
-    #[test]
     fn from_occupancy_validates_and_renormalizes() {
         // A slightly off-mass, slightly negative Monte Carlo estimate is
         // repaired...
@@ -1572,7 +1502,8 @@ mod tests {
         assert!(stats.max_truncation_steps > 0);
         assert_eq!(stats.backend, nvp_numerics::StationaryBackend::Dense);
 
-        // A CTMC-only net reports the Ctmc method and no subordinated work.
+        // An exponential-only net takes the same path with no row stage:
+        // no subordinated work and no workers.
         let mut b = NetBuilder::new("ctmcstats");
         let u = b.place("Up", 1);
         let d = b.place("Down", 0);
@@ -1587,9 +1518,12 @@ mod tests {
         let net = b.build().unwrap();
         let graph = explore(&net, 100).unwrap();
         let (_, stats) = steady_state_with_stats(&graph).unwrap();
-        assert_eq!(stats.method, SolveMethod::Ctmc);
+        assert_eq!(stats.method, SolveMethod::Mrgp);
         assert_eq!(stats.subordinated_chains, 0);
         assert_eq!(stats.max_truncation_steps, 0);
+        assert_eq!(stats.workers_used, 0);
+        assert_eq!(stats.parallel_rows, 0);
+        assert_eq!(stats.backend, nvp_numerics::StationaryBackend::Dense);
     }
 
     /// An M/D/1/K queue: Poisson arrivals, deterministic service.

@@ -2,9 +2,11 @@
 //! randomly parameterized nets.
 
 use nvp_mrgp::{steady_state, steady_state_with_options, SolveOptions};
+use nvp_numerics::ctmc::Ctmc;
 use nvp_numerics::pool::{Jobs, WorkerPool};
+use nvp_petri::expr::Expr;
 use nvp_petri::net::{NetBuilder, PetriNet, TransitionKind};
-use nvp_petri::reach::explore;
+use nvp_petri::reach::{explore, TangibleReachGraph};
 use proptest::prelude::*;
 
 /// Two-state race net: A leaves via Exp(lambda) *and* Det(tau), both to B;
@@ -75,6 +77,61 @@ fn ring_net(rates: &[f64], tau: f64) -> PetriNet {
         .input(clk, 1)
         .output(clk, 1);
     b.build().unwrap()
+}
+
+/// A ring of `rates.len()` places around which `tokens` tokens circulate
+/// (hop `i` fires at `rates[i]`, times the tokens in place `i` when
+/// `infinite_server`), plus shortcut transitions `(from, to, rate)` between
+/// places (indices taken modulo the ring size). Every transition is
+/// exponential, and the ring keeps the tangible markings one recurrent
+/// class.
+fn exponential_ring(
+    rates: &[f64],
+    tokens: u32,
+    jumps: &[(usize, usize, f64)],
+    infinite_server: bool,
+) -> PetriNet {
+    let positions = rates.len();
+    let mut b = NetBuilder::new("expring");
+    let places: Vec<_> = (0..positions)
+        .map(|i| b.place(format!("P{i}"), if i == 0 { tokens } else { 0 }))
+        .collect();
+    let kind = |rate: f64, place: usize| {
+        if infinite_server {
+            TransitionKind::exponential(Expr::parse(&format!("{rate} * #P{place}")).unwrap())
+        } else {
+            TransitionKind::exponential_rate(rate)
+        }
+    };
+    let hops = rates
+        .iter()
+        .enumerate()
+        .map(|(i, &r)| (i, (i + 1) % positions, r));
+    let shortcuts = jumps
+        .iter()
+        .map(|&(i, j, r)| (i % positions, j % positions, r));
+    for (t, (from, to, rate)) in hops.chain(shortcuts).enumerate() {
+        b.transition(format!("t{t}"), kind(rate, from))
+            .unwrap()
+            .input(places[from], 1)
+            .output(places[to], 1);
+    }
+    b.build().unwrap()
+}
+
+/// The CTMC over `graph`'s tangible markings, read off its exponential arcs.
+fn ctmc_of(graph: &TangibleReachGraph) -> Ctmc {
+    let mut ctmc = Ctmc::new(graph.tangible_count());
+    for (from, state) in graph.states().iter().enumerate() {
+        for arc in &state.exponential {
+            for &(to, p) in arc.targets.entries() {
+                if to != from && arc.value * p > 0.0 {
+                    ctmc.add_rate(from, to, arc.value * p).unwrap();
+                }
+            }
+        }
+    }
+    ctmc
 }
 
 proptest! {
@@ -183,6 +240,33 @@ proptest! {
         }
         prop_assert_eq!(stats.subordinated_chains, positions);
         prop_assert_eq!(stats.max_truncation_steps, serial_stats.max_truncation_steps);
-        prop_assert_eq!(stats.steady_state_detections, serial_stats.steady_state_detections);
+    }
+
+    /// On random exponential-only nets the solution is a distribution with
+    /// π·Q ≈ 0, where Q is the generator `Ctmc::generator` builds from the
+    /// reachability graph's rates: an oracle that shares no code with the
+    /// embedded-chain assembly the solver runs.
+    #[test]
+    fn exponential_nets_solve_the_balance_equations(
+        rates in proptest::collection::vec(0.01..100.0f64, 2..6),
+        tokens in 1u32..4,
+        jumps in proptest::collection::vec((0usize..6, 0usize..6, 0.01..100.0f64), 0..4),
+        infinite_server in proptest::bool::ANY,
+    ) {
+        let net = exponential_ring(&rates, tokens, &jumps, infinite_server);
+        let graph = explore(&net, 1000).unwrap();
+        let sol = steady_state(&graph).unwrap();
+        let pi = sol.probabilities();
+        prop_assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        prop_assert!(pi.iter().all(|&p| p >= 0.0));
+        let ctmc = ctmc_of(&graph);
+        let max_rate = ctmc.exit_rates().into_iter().fold(0.0f64, f64::max);
+        let flow = ctmc.generator().vecmat(pi);
+        for (m, f) in flow.iter().enumerate() {
+            prop_assert!(
+                f.abs() <= 1e-12 * max_rate,
+                "net flow {} at marking {} (largest rate {})", f, m, max_rate
+            );
+        }
     }
 }

@@ -39,15 +39,6 @@ impl DenseMatrix {
         }
     }
 
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = DenseMatrix::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
-    }
-
     /// Builds a matrix from row slices.
     ///
     /// # Errors
@@ -302,16 +293,6 @@ impl LuFactors {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn identity_solve_returns_rhs() {
-        let a = DenseMatrix::identity(4);
-        let b = vec![1.0, -2.0, 3.0, 0.5];
-        let x = a.solve(&b).unwrap();
-        for (xi, bi) in x.iter().zip(&b) {
-            assert!((xi - bi).abs() < 1e-14);
-        }
-    }
 
     #[test]
     fn solve_known_3x3() {

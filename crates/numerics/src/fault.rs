@@ -82,8 +82,7 @@ pub const STALL_MS: u64 = 50;
 /// Which solver entry point a plan targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Site {
-    /// Dense LU stationary solves (`ctmc::steady_state_dense`,
-    /// `dtmc::stationary_dense`).
+    /// Dense LU stationary solves (`dtmc::stationary_dense`).
     DenseStationary,
     /// Damped power iteration (`sparse::stationary_power_with`).
     PowerIteration,

@@ -6,12 +6,13 @@
 //!
 //! * [`dense`] — small dense matrices with LU factorization and linear solves,
 //! * [`sparse`] — compressed sparse row matrices with iterative solvers,
-//! * [`ctmc`] — continuous-time Markov chains: steady-state distributions,
-//!   transient solutions and accumulated sojourn times via uniformization,
-//! * [`dtmc`] — discrete-time Markov chains: stationary distributions,
+//! * [`ctmc`] — continuous-time Markov chains: transient solutions and
+//!   accumulated sojourn times via uniformization,
+//! * [`dtmc`] — discrete-time Markov chains: stationary distributions, the
+//!   one stationary solver in the workspace,
 //! * [`poisson`] — numerically stable Poisson probability weights used by
 //!   uniformization,
-//! * [`optim`] — scalar root finding (bisection, Brent) and golden-section
+//! * [`optim`] — scalar root finding (Brent) and golden-section
 //!   minimization used for the paper's "optimal rejuvenation interval" and
 //!   crossover analyses,
 //! * [`pool`] — the process-wide worker budget that the parallel sweep
@@ -25,18 +26,20 @@
 //!
 //! # Example
 //!
-//! Compute the steady-state distribution of a two-state repair chain and the
-//! expected reward:
+//! Compute the long-run availability of a two-state repair chain as the
+//! stationary distribution of its uniformized transition matrix:
 //!
 //! ```
 //! use nvp_numerics::ctmc::Ctmc;
+//! use nvp_numerics::dtmc::stationary_distribution;
 //!
 //! # fn main() -> Result<(), nvp_numerics::NumericsError> {
 //! // Up (state 0) fails at rate 0.1; down (state 1) repairs at rate 1.0.
 //! let mut ctmc = Ctmc::new(2);
 //! ctmc.add_rate(0, 1, 0.1)?;
 //! ctmc.add_rate(1, 0, 1.0)?;
-//! let pi = ctmc.steady_state()?;
+//! let (p, _rate) = ctmc.uniformize();
+//! let pi = stationary_distribution(&p)?;
 //! let availability = pi[0];
 //! assert!((availability - 1.0 / 1.1).abs() < 1e-12);
 //! # Ok(())
@@ -74,7 +77,7 @@ pub const DEFAULT_TOLERANCE: f64 = 1e-12;
 pub const DEFAULT_MAX_ITERATIONS: usize = 200_000;
 
 /// Size threshold below which stationary solves use a dense LU factorization
-/// rather than power iteration. Shared by [`ctmc`] and [`dtmc`].
+/// rather than power iteration (see [`stationary_backend_for`]).
 pub(crate) const DENSE_SOLVE_LIMIT: usize = 600;
 
 /// Renders a `catch_unwind` payload as text: `&str`/`String` payloads (the
@@ -111,8 +114,8 @@ impl std::fmt::Display for StationaryBackend {
     }
 }
 
-/// Which backend [`dtmc::stationary_distribution`] and
-/// [`ctmc::Ctmc::steady_state`] use for an `n`-state chain.
+/// Which backend [`dtmc::stationary_distribution`] uses for an `n`-state
+/// chain.
 ///
 /// Exposed so callers (e.g. the MRGP solver's statistics layer) can report
 /// the choice without duplicating the threshold.
@@ -133,8 +136,8 @@ pub fn alternate_backend(backend: StationaryBackend) -> StationaryBackend {
     }
 }
 
-/// Options controlling a stationary solve ([`ctmc::Ctmc::steady_state_with`]
-/// and [`dtmc::stationary_distribution_with`]).
+/// Options controlling a stationary solve
+/// ([`dtmc::stationary_distribution_with`]).
 ///
 /// The default reproduces the historical behaviour: backend chosen by
 /// [`stationary_backend_for`], default tolerance and iteration cap, and an

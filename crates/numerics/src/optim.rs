@@ -6,7 +6,7 @@
 //! * *"What rejuvenation interval maximizes expected reliability?"*
 //!   (Figure 3) — [`golden_section_max`];
 //! * *"At what parameter value do the four- and six-version curves cross?"*
-//!   (Figures 4a and 4d) — [`bisect`] / [`brent`] on the difference of the
+//!   (Figures 4a and 4d) — [`brent`] on the difference of the
 //!   two reliability functions.
 
 use crate::{NumericsError, Result};
@@ -20,7 +20,9 @@ pub struct Maximum {
     pub value: f64,
 }
 
-/// Finds a root of `f` in `[lo, hi]` by bisection.
+/// Finds a root of `f` in `[lo, hi]` with Brent's method (inverse quadratic
+/// interpolation guarded by bisection). Converges much faster than plain
+/// bisection on smooth functions.
 ///
 /// # Errors
 ///
@@ -32,50 +34,11 @@ pub struct Maximum {
 ///
 /// ```
 /// # fn main() -> Result<(), nvp_numerics::NumericsError> {
-/// let root = nvp_numerics::optim::bisect(|x| x * x - 2.0, 0.0, 2.0, 1e-12)?;
+/// let root = nvp_numerics::optim::brent(|x| x * x - 2.0, 0.0, 2.0, 1e-12)?;
 /// assert!((root - 2.0_f64.sqrt()).abs() < 1e-10);
 /// # Ok(())
 /// # }
 /// ```
-pub fn bisect<F: FnMut(f64) -> f64>(mut f: F, lo: f64, hi: f64, tol: f64) -> Result<f64> {
-    check_interval(lo, hi)?;
-    let mut lo = lo;
-    let mut hi = hi;
-    let mut f_lo = f(lo);
-    let f_hi = f(hi);
-    if f_lo == 0.0 {
-        return Ok(lo);
-    }
-    if f_hi == 0.0 {
-        return Ok(hi);
-    }
-    if f_lo.signum() == f_hi.signum() {
-        return Err(NumericsError::NoBracket { f_lo, f_hi });
-    }
-    // 200 halvings reduce any finite interval below f64 resolution.
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        let f_mid = f(mid);
-        if f_mid == 0.0 || (hi - lo) < tol {
-            return Ok(mid);
-        }
-        if f_mid.signum() == f_lo.signum() {
-            lo = mid;
-            f_lo = f_mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Ok(0.5 * (lo + hi))
-}
-
-/// Finds a root of `f` in `[lo, hi]` with Brent's method (inverse quadratic
-/// interpolation guarded by bisection). Converges much faster than plain
-/// bisection on smooth functions.
-///
-/// # Errors
-///
-/// Same conditions as [`bisect`].
 pub fn brent<F: FnMut(f64) -> f64>(mut f: F, lo: f64, hi: f64, tol: f64) -> Result<f64> {
     check_interval(lo, hi)?;
     let (mut a, mut b) = (lo, hi);
@@ -216,26 +179,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bisect_finds_sqrt2() {
-        let root = bisect(|x| x * x - 2.0, 0.0, 2.0, 1e-13).unwrap();
-        assert!((root - std::f64::consts::SQRT_2).abs() < 1e-10);
-    }
-
-    #[test]
-    fn bisect_accepts_root_at_endpoint() {
-        let root = bisect(|x| x, 0.0, 1.0, 1e-12).unwrap();
-        assert_eq!(root, 0.0);
-    }
-
-    #[test]
-    fn bisect_rejects_unbracketed_interval() {
-        assert!(matches!(
-            bisect(|x| x * x + 1.0, -1.0, 1.0, 1e-12),
-            Err(NumericsError::NoBracket { .. })
-        ));
-    }
-
-    #[test]
     fn brent_finds_sqrt2_fast() {
         let mut calls = 0;
         let root = brent(
@@ -262,7 +205,10 @@ mod tests {
 
     #[test]
     fn brent_rejects_unbracketed_interval() {
-        assert!(brent(|x| x * x + 1.0, -1.0, 1.0, 1e-12).is_err());
+        assert!(matches!(
+            brent(|x| x * x + 1.0, -1.0, 1.0, 1e-12),
+            Err(NumericsError::NoBracket { .. })
+        ));
     }
 
     #[test]
@@ -280,9 +226,9 @@ mod tests {
 
     #[test]
     fn degenerate_intervals_are_rejected() {
-        assert!(bisect(|x| x, 1.0, 1.0, 1e-12).is_err());
-        assert!(bisect(|x| x, 2.0, 1.0, 1e-12).is_err());
-        assert!(bisect(|x| x, f64::NAN, 1.0, 1e-12).is_err());
+        assert!(brent(|x| x, 1.0, 1.0, 1e-12).is_err());
+        assert!(brent(|x| x, 2.0, 1.0, 1e-12).is_err());
+        assert!(brent(|x| x, f64::NAN, 1.0, 1e-12).is_err());
         assert!(golden_section_max(|x| x, 1.0, 1.0, 1e-12).is_err());
     }
 }

@@ -4,7 +4,7 @@
 //! with N ≥ 8 that `nvp-core` supports as an extension) produce sparse
 //! generators. This module provides a CSR representation built from triplets
 //! or compacted rows (one rule for summing duplicate entries serves both),
-//! matrix-vector products in both orientations, and the iterative machinery
+//! row-vector-times-matrix products, and the iterative machinery
 //! (power iteration, Jacobi/Gauss–Seidel sweeps) used when direct dense
 //! factorization would be wasteful.
 
@@ -26,16 +26,19 @@ const BUDGET_CHECK_INTERVAL: usize = 256;
 /// b.push(0, 1, 3.0);
 /// b.push(1, 0, 4.0);
 /// let m = b.build();
-/// assert_eq!(m.matvec(&[1.0, 1.0]), vec![3.0, 4.0]);
+/// assert_eq!(m.vecmat(&[1.0, 1.0]), vec![4.0, 3.0]);
 /// ```
 ///
 /// or row by row from [`SparseRow`]s with [`CsrMatrix::from_rows`].
+///
+/// Column indices are stored in four bytes, as in [`SparseRow`], so a
+/// stored entry costs 12 bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,
     row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    col_idx: Vec<u32>,
     values: Vec<f64>,
 }
 
@@ -71,6 +74,16 @@ fn compact_in_place(entries: &mut [(usize, f64)]) -> usize {
     kept
 }
 
+/// Narrows a column index to the four bytes [`SparseRow`] and
+/// [`CsrMatrix`] store it in.
+///
+/// # Panics
+///
+/// Panics if `col` does not fit in a `u32`.
+fn col_u32(col: usize) -> u32 {
+    u32::try_from(col).expect("column index fits in u32")
+}
+
 /// One compacted matrix row: entries sorted by column, one per column, no
 /// zeros. [`CsrMatrix::from_rows`] assembles a matrix from a sequence of
 /// them.
@@ -97,10 +110,7 @@ impl SparseRow {
         let kept = compact_in_place(&mut entries);
         let entries = &entries[..kept];
         SparseRow {
-            cols: entries
-                .iter()
-                .map(|&(c, _)| u32::try_from(c).expect("column index fits in u32"))
-                .collect(),
+            cols: entries.iter().map(|&(c, _)| col_u32(c)).collect(),
             values: entries.iter().map(|&(_, v)| v).collect(),
         }
     }
@@ -151,6 +161,10 @@ impl CsrBuilder {
     /// `(row, col)` triplets are summed in push order, and groups that
     /// cancel to exactly `0.0` are dropped, matching the zero filtering
     /// [`CsrBuilder::push`] applies to individual entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column index does not fit in a `u32`.
     pub fn build(self) -> CsrMatrix {
         // Counting sort by row: `start[r]..start[r + 1]` is row r's bucket,
         // filled in push order.
@@ -181,7 +195,7 @@ impl CsrBuilder {
         for r in 0..self.rows {
             let kept = row_ptr[r + 1] - row_ptr[r];
             for &(c, v) in &bucketed[start[r]..start[r] + kept] {
-                col_idx.push(c);
+                col_idx.push(col_u32(c));
                 values.push(v);
             }
         }
@@ -226,7 +240,7 @@ impl CsrMatrix {
                     "column {last} out of bounds for {cols} columns"
                 );
             }
-            col_idx.extend(row.cols.iter().map(|&c| c as usize));
+            col_idx.extend_from_slice(&row.cols);
             values.extend_from_slice(&row.values);
         }
         CsrMatrix {
@@ -265,39 +279,7 @@ impl CsrMatrix {
         self.col_idx[lo..hi]
             .iter()
             .zip(&self.values[lo..hi])
-            .map(|(&c, &v)| (c, v))
-    }
-
-    /// Computes `A · x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.rows];
-        self.matvec_into(x, &mut y);
-        y
-    }
-
-    /// Computes `A · x` into a caller-owned buffer, overwriting `y`.
-    ///
-    /// The in-place twin of [`CsrMatrix::matvec`] (bit-identical result):
-    /// iterative kernels call this with a reused scratch buffer so a product
-    /// per step stops costing an allocation per step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols` or `y.len() != rows`.
-    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols, "dimension mismatch in matvec");
-        assert_eq!(y.len(), self.rows, "output buffer mismatch in matvec_into");
-        for (r, yr) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (c, v) in self.row_entries(r) {
-                acc += v * x[c];
-            }
-            *yr = acc;
-        }
+            .map(|(&c, &v)| (c as usize, v))
     }
 
     /// Computes `xᵀ · A` (row vector times matrix).
@@ -490,7 +472,7 @@ mod tests {
         b.push(0, 1, 2.5);
         let m = b.build();
         assert_eq!(m.nnz(), 1);
-        assert_eq!(m.matvec(&[0.0, 1.0]), vec![3.5]);
+        assert_eq!(m.row_entries(0).collect::<Vec<_>>(), vec![(1, 3.5)]);
     }
 
     /// Three duplicates whose floating-point sum depends on the order of
@@ -560,7 +542,7 @@ mod tests {
         let m = b.build();
         assert_eq!(m.nnz(), 0, "cancelled entries must not be stored");
         assert_eq!(m.row_entries(0).count(), 0);
-        assert_eq!(m.matvec(&[1.0, 1.0]), vec![0.0, 0.0]);
+        assert_eq!(m.vecmat(&[1.0, 1.0]), vec![0.0, 0.0]);
 
         // A cancelled group must not shift later entries into the wrong row.
         let mut b = CsrBuilder::new(3, 3);
@@ -571,17 +553,14 @@ mod tests {
         let m = b.build();
         assert_eq!(m.nnz(), 2);
         assert_eq!(m.row_entries(1).count(), 0);
-        assert_eq!(m.matvec(&[1.0, 1.0, 1.0]), vec![2.0, 0.0, 3.0]);
+        assert_eq!(m.vecmat(&[1.0, 1.0, 1.0]), vec![2.0, 0.0, 3.0]);
     }
 
     #[test]
-    fn into_kernels_match_allocating_kernels() {
+    fn into_kernel_matches_allocating_kernel() {
         let m = two_state_chain();
         let x = [0.3, 0.7];
         let mut y = vec![f64::NAN; 2]; // stale contents must be overwritten
-        m.matvec_into(&x, &mut y);
-        assert_eq!(y, m.matvec(&x));
-        let mut y = vec![f64::NAN; 2];
         m.vecmat_into(&x, &mut y);
         assert_eq!(y, m.vecmat(&x));
     }
@@ -598,18 +577,6 @@ mod tests {
     fn axpy_rejects_length_mismatch() {
         let mut y = vec![0.0; 2];
         axpy(&mut y, 1.0, &[1.0]);
-    }
-
-    #[test]
-    fn matvec_matches_dense() {
-        let m = two_state_chain();
-        let d = m.to_dense();
-        let x = [0.3, 0.7];
-        let ys = m.matvec(&x);
-        let yd = d.matvec(&x).unwrap();
-        for (a, b) in ys.iter().zip(&yd) {
-            assert!((a - b).abs() < 1e-15);
-        }
     }
 
     #[test]

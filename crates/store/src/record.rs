@@ -109,7 +109,9 @@ pub struct SolveRecord {
     /// Written as 0 (older records counted chain solves shared with an
     /// equivalent chain); kept so the record format does not change.
     pub dedup_hits: u64,
-    /// Early steady-state detections during uniformization.
+    /// Written as 0 (older records counted uniformization series cut short
+    /// by a since-removed steady-state check); kept so the record format
+    /// does not change.
     pub steady_state_detections: u64,
     /// Present when the exact solve fell back to a degraded method.
     pub degraded: Option<DegradedRecord>,
